@@ -1,15 +1,5 @@
 """``python -m repro`` entry point."""
 
-import sys
-
 from repro.cli import main
 
-try:
-    code = main()
-except BrokenPipeError:  # e.g. `python -m repro info | head`
-    import os
-
-    # Re-open stdout on devnull so the interpreter shutdown doesn't warn.
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    code = 0
-raise SystemExit(code)
+raise SystemExit(main())

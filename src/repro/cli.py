@@ -1077,8 +1077,25 @@ def _profiled(args: argparse.Namespace, fn) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes stdout early (``repro run | head -1``) ends the
+    command quietly with exit code 0 instead of a ``BrokenPipeError``
+    traceback.
+    """
     args = build_parser().parse_args(argv)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's exit flush cannot
+        # raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "info":
         return _cmd_info(args)
     if args.command == "demo-smp":

@@ -25,20 +25,44 @@ MESSAGE_HEADER_BYTES = 32
 
 
 def payload_nbytes(payload: Any) -> int:
-    """Best-effort byte size of a payload for copy-cost accounting."""
-    if payload is None:
-        return 0
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    if isinstance(payload, (bytes, bytearray, memoryview)):
-        return len(payload)
-    if isinstance(payload, str):
-        return len(payload.encode("utf-8"))
-    if isinstance(payload, (list, tuple)):
-        return sum(payload_nbytes(p) for p in payload)
-    if isinstance(payload, dict):
-        return sum(payload_nbytes(k) + payload_nbytes(v) for k, v in payload.items())
-    return int(sys.getsizeof(payload))
+    """Best-effort byte size of a payload for copy-cost accounting.
+
+    Arrays count their buffer, bytes-likes their length, strings their
+    UTF-8 length, containers the sum of their members (dict keys
+    included) and anything else ``sys.getsizeof``.  One loop walks a
+    work list that containers extend, so nesting costs no recursion, and
+    the types the pipeline sends (dicts of str keys, ints and arrays) are
+    matched by exact type before the general ``isinstance`` chain.
+    """
+    total = 0
+    todo = [payload]
+    for item in todo:  # containers append their members as the loop runs
+        kind = type(item)
+        if kind is dict:
+            todo += item
+            todo += item.values()
+        elif kind is str:
+            total += len(item.encode("utf-8"))
+        elif kind is int:
+            total += sys.getsizeof(item)
+        elif kind is np.ndarray:
+            total += item.nbytes
+        elif item is None:
+            pass
+        elif isinstance(item, np.ndarray):
+            total += item.nbytes
+        elif isinstance(item, (bytes, bytearray, memoryview)):
+            total += len(item)
+        elif isinstance(item, str):
+            total += len(item.encode("utf-8"))
+        elif isinstance(item, (list, tuple)):
+            todo += item
+        elif isinstance(item, dict):
+            todo += item
+            todo += item.values()
+        else:
+            total += sys.getsizeof(item)
+    return total
 
 
 #: Span id meaning "no causal context" (root of a causal chain).

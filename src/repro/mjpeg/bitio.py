@@ -1,18 +1,24 @@
 """Bit-level I/O for the entropy-coded segment.
 
-The reader keeps a 64-bit-bounded accumulator refilled bytewise with
-``int.from_bytes``, so multi-bit reads, 16-bit peeks (for LUT Huffman
-decode) and skips are O(1) integer ops instead of per-bit Python loops.
+The writer appends either one value at a time (:meth:`BitWriter.write`)
+or a whole token array at once (:meth:`BitWriter.write_many`, the
+encoder's path), packed with ``np.packbits``.  The reader keeps a
+64-bit-bounded accumulator refilled bytewise with ``int.from_bytes``, so
+multi-bit reads, 16-bit peeks (for LUT Huffman decode) and skips are
+O(1) integer ops instead of per-bit Python loops.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class BitWriter:
     """MSB-first bit accumulator.
 
-    ``write`` accepts values of any width (Python ints are unbounded);
-    the accumulator is flushed to bytes as it fills.
+    Whole bytes go to the output as they fill; the accumulator holds
+    the (< 8) bits of the trailing partial byte.  ``write`` accepts
+    values of any width (Python ints are unbounded).
     """
 
     def __init__(self) -> None:
@@ -41,6 +47,41 @@ class BitWriter:
                 out.append((acc >> nbits_left) & 0xFF)
             self._nbits = nbits_left
             self._acc = acc & ((1 << nbits_left) - 1)
+
+    def write_many(self, values: np.ndarray, lengths: np.ndarray) -> None:
+        """Append ``values[i]`` in ``lengths[i]`` bits for every i, MSB
+        first: the bulk form of :meth:`write`, bit-identical to calling
+        it once per token in order.  Values are non-negative int64 and
+        each fits its length (0..63 bits); zero-length tokens write
+        nothing.
+
+        The pending partial byte joins the run as its first token.  Each
+        token expands to one array element per bit (``np.repeat``), the
+        run is packed with ``np.packbits``, and its trailing partial byte
+        goes back into the accumulator, so calls chain without aligning.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if values.shape != lengths.shape:
+            raise ValueError(f"{values.shape} values for {lengths.shape} lengths")
+        if lengths.size and (lengths.min() < 0 or lengths.max() > 63):
+            raise ValueError("token lengths must be in 0..63")
+        if np.any(values >> lengths):
+            raise ValueError("a token value does not fit in its length")
+        n_new = int(lengths.sum())
+        if not n_new:
+            return
+        if self._nbits:
+            values = np.concatenate(([self._acc], values))
+            lengths = np.concatenate(([self._nbits], lengths))
+        total = self._nbits + n_new
+        # Bit i of the run is bit (end of its token - 1 - i) of that token.
+        shifts = np.repeat(np.cumsum(lengths) - 1, lengths) - np.arange(total)
+        packed = np.packbits(((np.repeat(values, lengths) >> shifts) & 1).astype(np.uint8))
+        whole, self._nbits = divmod(total, 8)
+        self._out += packed[:whole].tobytes()
+        self._acc = int(packed[whole]) >> (8 - self._nbits) if self._nbits else 0
+        self.bits_written += n_new
 
     def align(self) -> None:
         """Pad to the next byte boundary with 1-bits (the JPEG stuffing

@@ -1,9 +1,10 @@
 """8x8 type-II/III DCT, vectorised over batches of blocks.
 
-The transform is expressed as two matrix products with the orthonormal
-DCT-II basis matrix ``C`` (``X = C B C^T``), evaluated with ``einsum``
-over arbitrary batch dimensions -- the numpy-vectorisation discipline of
-the hpc-parallel guides: no Python loop touches a pixel.
+The transform is two matrix products with the orthonormal DCT-II basis
+matrix ``C``: ``X = (C @ B) @ C^T`` forward and ``B = (C^T @ X) @ C``
+inverse, broadcast by ``matmul`` over any leading batch dimensions, so
+no Python loop touches a pixel.  ``C^T`` is precomputed as a contiguous
+array, so a call pays only for the two products.
 
 A scaled AAN-style variant (:func:`idct_blocks_scaled`) demonstrates the
 classic embedded-decoder optimisation of folding the descaling constants
@@ -26,6 +27,7 @@ def _dct_matrix() -> np.ndarray:
 
 #: Orthonormal 8-point DCT-II basis matrix.
 DCT_MATRIX = _dct_matrix()
+_DCT_MATRIX_T = np.ascontiguousarray(DCT_MATRIX.T)
 
 
 def fdct_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -33,8 +35,7 @@ def fdct_blocks(blocks: np.ndarray) -> np.ndarray:
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.shape[-2:] != (8, 8):
         raise ValueError(f"expected trailing (8, 8), got {blocks.shape}")
-    c = DCT_MATRIX
-    return np.einsum("ij,...jk,lk->...il", c, blocks, c, optimize=True)
+    return (DCT_MATRIX @ blocks) @ _DCT_MATRIX_T
 
 
 def idct_blocks(coefs: np.ndarray) -> np.ndarray:
@@ -42,8 +43,7 @@ def idct_blocks(coefs: np.ndarray) -> np.ndarray:
     coefs = np.asarray(coefs, dtype=np.float64)
     if coefs.shape[-2:] != (8, 8):
         raise ValueError(f"expected trailing (8, 8), got {coefs.shape}")
-    c = DCT_MATRIX
-    return np.einsum("ji,...jk,kl->...il", c, coefs, c, optimize=True)
+    return (_DCT_MATRIX_T @ coefs) @ DCT_MATRIX
 
 
 def idct_blocks_scaled(qcoefs: np.ndarray, quant: np.ndarray) -> np.ndarray:
@@ -59,4 +59,7 @@ def idct_blocks_scaled(qcoefs: np.ndarray, quant: np.ndarray) -> np.ndarray:
 
 def pixels_from_idct(samples: np.ndarray) -> np.ndarray:
     """Undo the JPEG level shift and clamp to uint8."""
-    return np.clip(np.round(samples) + 128, 0, 255).astype(np.uint8)
+    out = np.rint(samples)
+    out += 128
+    np.clip(out, 0, 255, out=out)
+    return out.astype(np.uint8)

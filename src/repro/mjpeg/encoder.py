@@ -18,14 +18,11 @@ from repro.mjpeg.bitio import BitWriter
 from repro.mjpeg.color import rgb_to_ycbcr, subsample_420
 from repro.mjpeg.dct import fdct_blocks
 from repro.mjpeg.huffman import (
-    EOB,
     STD_AC_CHROMA,
     STD_AC_LUMA,
     STD_DC_CHROMA,
     STD_DC_LUMA,
     ZRL,
-    encode_magnitude,
-    magnitude_category,
 )
 from repro.mjpeg.quant import quant_table, quantize
 from repro.mjpeg.zigzag import zigzag
@@ -105,89 +102,61 @@ def encode_plane(
     """Encode one plane's (n, 64) quantized zigzag blocks with its own DC
     predictor chain and Huffman tables.
 
-    The zigzag/RLE scan is vectorised: one ``np.nonzero`` over the whole
-    plane yields every (block, position, value) AC triple, DC diffs come
-    from one vectorised subtraction, and the Python loop only walks the
-    nonzero coefficients (not all 64 slots per block).  Bitstream output
-    is identical to the per-block scalar scan.
+    The plane becomes one token array over a grid of 65 slots per block,
+    in ``block * 65 + slot`` order.  Slot 0 holds the DC code and
+    magnitude bits.  Slot k in 1..63 holds, for a nonzero coefficient at
+    zigzag position k, the ZRL codes of its zero run (at most three), its
+    run/size code and its magnitude bits.  Slot 64 holds the EOB code of
+    a block whose last coefficient is zero.  Every token is built with
+    whole-plane numpy ops and the array is packed by one
+    :meth:`BitWriter.write_many` call, so no Python code runs per symbol.
+    A symbol missing from a table raises ``ValueError`` before anything
+    is written.
     """
     qzz = np.asarray(qzz)
     n_blocks = qzz.shape[0]
     if n_blocks == 0:
         return
-    dcs = qzz[:, 0].astype(np.int64)
-    diffs = np.empty(n_blocks, dtype=np.int64)
-    diffs[0] = dcs[0]
-    if n_blocks > 1:
-        np.subtract(dcs[1:], dcs[:-1], out=diffs[1:])
-    rows, cols = np.nonzero(qzz[:, 1:])
-    cols = cols + 1
-    bounds = np.searchsorted(rows, np.arange(n_blocks + 1)).tolist()
-    cols_l = cols.tolist()
-    vals_l = qzz[rows, cols].tolist()
-    diffs_l = diffs.tolist()
-
-    dc_enc = dc_table.encode_map
-    ac_enc = ac_table.encode_map
-    zrl_code, zrl_len = ac_enc[ZRL]
-    eob_code, eob_len = ac_enc[EOB]
-    w_write = writer.write
-    for b in range(n_blocks):
-        diff = diffs_l[b]
-        category = diff.bit_length() if diff >= 0 else (-diff).bit_length()
-        code, length = dc_enc[category]
-        w_write(code, length)
-        if category:
-            w_write(diff + (1 << category) - 1 if diff < 0 else diff, category)
-        prev_k = 0
-        for i in range(bounds[b], bounds[b + 1]):
-            k = cols_l[i]
-            value = vals_l[i]
-            run = k - prev_k - 1
-            while run > 15:
-                w_write(zrl_code, zrl_len)
-                run -= 16
-            category = value.bit_length() if value >= 0 else (-value).bit_length()
-            code, length = ac_enc[(run << 4) | category]
-            w_write(code, length)
-            w_write(value + (1 << category) - 1 if value < 0 else value, category)
-            prev_k = k
-        if prev_k < 63:
-            w_write(eob_code, eob_len)
+    # Slot values: the DC difference, the AC coefficients, 0 for EOB.
+    grid = np.zeros((n_blocks, 65), dtype=np.int64)
+    grid[:, :64] = qzz
+    grid[1:, 0] -= qzz[:-1, 0]
+    occupied = grid != 0
+    occupied[:, 0] = True
+    occupied[:, 64] = qzz[:, 63] == 0
+    tokens = np.flatnonzero(occupied)
+    slot = tokens % 65
+    size, bits = _magnitudes(grid.ravel()[tokens])
+    # Every AC token follows its block's DC token or previous AC token.
+    run = slot - np.roll(slot, 1) - 1
+    is_dc = slot == 0
+    run[is_dc | (slot == 64)] = 0
+    symbol = ((run & 15) << 4) | size  # the DC symbol is its size; EOB is 0x00
+    dc_codes, dc_lengths = dc_table.code_arrays
+    ac_codes, ac_lengths = ac_table.code_arrays
+    length = np.where(is_dc, dc_lengths[symbol], ac_lengths[symbol])
+    missing = np.flatnonzero(length == 0)
+    if missing.size:
+        i = missing[0]
+        table = dc_table if is_dc[i] else ac_table
+        raise ValueError(f"symbol {int(symbol[i]):#x} not in table {table.name!r}")
+    code = np.where(is_dc, dc_codes[symbol], ac_codes[symbol])
+    n_zrl = run >> 4
+    if n_zrl.any():
+        zrl_length = int(ac_lengths[ZRL])
+        if not zrl_length:
+            raise ValueError(f"symbol {ZRL:#x} not in table {ac_table.name!r}")
+        zrl_code = int(ac_codes[ZRL])
+        prefix = np.array([sum(zrl_code << (zrl_length * i) for i in range(n)) for n in range(4)])
+        code |= prefix[n_zrl] << length
+        length += n_zrl * zrl_length
+    writer.write_many((code << size) | bits, length + size)
 
 
-def _encode_block(
-    writer: BitWriter,
-    zz: np.ndarray,
-    prev_dc: int,
-    dc_table=STD_DC_LUMA,
-    ac_table=STD_AC_LUMA,
-) -> int:
-    """Scalar single-block reference encode; returns the block's DC value
-    for the next diff.  ``encode_plane`` is the vectorised equivalent."""
-    dc = int(zz[0])
-    diff = dc - prev_dc
-    category = magnitude_category(diff)
-    dc_table.encode(writer, category)
-    encode_magnitude(writer, diff, category)
-
-    run = 0
-    last_nonzero = int(np.max(np.nonzero(zz[1:])[0])) + 1 if np.any(zz[1:]) else 0
-    for k in range(1, last_nonzero + 1):
-        value = int(zz[k])
-        if value == 0:
-            run += 1
-            continue
-        while run > 15:
-            ac_table.encode(writer, ZRL)
-            run -= 16
-        category = magnitude_category(value)
-        ac_table.encode(writer, (run << 4) | category)
-        encode_magnitude(writer, value, category)
-        run = 0
-    if last_nonzero < 63:
-        ac_table.encode(writer, EOB)
-    return dc
+def _magnitudes(v: np.ndarray):
+    """JPEG magnitude category and additional bits of every value."""
+    size = np.frexp(np.abs(v))[1].astype(np.int64)  # |v|.bit_length()
+    return size, (v - (v < 0)) & ((1 << size) - 1)
 
 
 @dataclass

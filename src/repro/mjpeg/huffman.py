@@ -124,6 +124,7 @@ class HuffmanTable:
         self._lut: Optional[List[int]] = None  # built on first decode
         self._lut_dc: Optional[List[int]] = None
         self._lut_ac: Optional[List[int]] = None
+        self._code_arrays = None  # built on first vectorised encode
 
     @property
     def lut(self) -> List[int]:
@@ -169,6 +170,23 @@ class HuffmanTable:
                         out[window] = ((length + size) << 16) | (run << 8) | size
             self._lut_ac = out
         return self._lut_ac
+
+    @property
+    def code_arrays(self):
+        """``(codes, lengths)``: int64 arrays indexed by symbol, length 0
+        for a symbol the table lacks -- the lookup of the vectorised
+        encoder (:func:`repro.mjpeg.encoder.encode_plane`)."""
+        if self._code_arrays is None:
+            import numpy as np
+
+            size = max(256, max(self.values, default=0) + 1)
+            codes = np.zeros(size, dtype=np.int64)
+            lengths = np.zeros(size, dtype=np.int64)
+            for symbol, (code, length) in self.encode_map.items():
+                codes[symbol] = code
+                lengths[symbol] = length
+            self._code_arrays = (codes, lengths)
+        return self._code_arrays
 
     def _build_lut(self) -> List[int]:
         # Canonical codes in (length asc, code asc) order cover contiguous

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -63,3 +66,22 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.cli"])
+def test_run_exits_quietly_when_stdout_closes(module):
+    # `repro run | head -1` with the reader already gone: the pipe's read
+    # end is closed before the child prints anything.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "run", "--images", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0

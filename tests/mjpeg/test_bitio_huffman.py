@@ -1,5 +1,6 @@
 """Unit and property tests for bit I/O and Huffman coding."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +74,40 @@ def test_bitio_roundtrip_property(chunks):
     r = BitReader(w.getvalue())
     for nbits, value in expected:
         assert r.read(nbits) == value
+
+
+@settings(max_examples=50)
+@given(
+    st.integers(0, 7),
+    st.lists(st.tuples(st.integers(0, 63), st.integers(0, 2**63 - 1)), max_size=40),
+    st.integers(0, 7),
+)
+def test_write_many_matches_write_per_token(lead, tokens, tail):
+    values = [v & ((1 << n) - 1) for n, v in tokens]
+    lengths = [n for n, _ in tokens]
+    bulk, scalar = BitWriter(), BitWriter()
+    for w in (bulk, scalar):
+        w.write(0b1010101 >> (7 - lead), lead)
+    bulk.write_many(np.array(values, dtype=np.int64), np.array(lengths, dtype=np.int64))
+    for value, nbits in zip(values, lengths):
+        scalar.write(value, nbits)
+    for w in (bulk, scalar):  # writes chain after a bulk append
+        w.write(0b1111111 >> (7 - tail), tail)
+    assert bulk.getvalue() == scalar.getvalue()
+    assert bulk.bits_written == scalar.bits_written
+
+
+def test_write_many_range_checked():
+    w = BitWriter()
+    with pytest.raises(ValueError):
+        w.write_many(np.array([4]), np.array([2]))
+    with pytest.raises(ValueError):
+        w.write_many(np.array([-1]), np.array([3]))
+    with pytest.raises(ValueError):
+        w.write_many(np.array([1]), np.array([64]))
+    with pytest.raises(ValueError):
+        w.write_many(np.array([1, 1]), np.array([1]))
+    assert w.bits_written == 0
 
 
 # -- Huffman tables -----------------------------------------------------------------
