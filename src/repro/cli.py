@@ -20,7 +20,7 @@ Commands
     re-runs the kernel hot paths and fails on a >25% regression versus
     the committed ``BENCH_kernel.json`` instead of writing artifacts.
 ``run [--workload {mjpeg,traffic}] [--images N] [--components N]
-[--shards N] [--parallel] [--metrics OUT] [--record-profile OUT.json]
+[--shards N] [--metrics OUT] [--record-profile OUT.json]
 [--repartition PROFILE.json] [--profile OUT.pstats]``
     Run a workload and print its shard-count-invariant digest.  The
     default ``mjpeg`` workload decodes the MJPEG stream and prints the
@@ -255,9 +255,7 @@ def _cmd_run_traffic(args: argparse.Namespace) -> int:
         )
         print(f"repartitioned {len(graph['names'])} components from "
               f"{args.repartition}")
-    result = run_traffic(
-        config, args.shards, parallel=args.parallel, partition=partition, graph=graph
-    )
+    result = run_traffic(config, args.shards, partition=partition, graph=graph)
     mean = result["events"] / args.shards
     for k in range(args.shards):
         n = result["shard_events"][k]
@@ -331,7 +329,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # stream is only meaningful over one fixed placement.
         for i, comp in enumerate(app.components.values()):
             comp.placement.setdefault("core", i)
-        rt = ShardedSmpSimRuntime(args.shards, parallel=args.parallel, profile=profile)
+        rt = ShardedSmpSimRuntime(args.shards, profile=profile)
         rt.deploy(app)
         enable_telemetry(rt)
         rt.start()
@@ -340,7 +338,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         rt = SmpSimRuntime()
         rt.run(app)
     else:
-        rt = ShardedSmpSimRuntime(args.shards, parallel=args.parallel, profile=profile)
+        rt = ShardedSmpSimRuntime(args.shards, profile=profile)
         rt.run(app)
     reports = rt.collect()
     rt.stop()
@@ -886,11 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=1, metavar="N",
         help="partition the simulation across N conservative shards "
         "(1 = plain single-kernel runtime; output is identical for any N)",
-    )
-    run.add_argument(
-        "--parallel", action="store_true",
-        help="execute shard windows on OS threads (same results as the "
-        "cooperative driver; needs --shards > 1)",
     )
     run.add_argument(
         "--metrics", metavar="OUT", default=None,

@@ -621,21 +621,18 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
         platform: Optional[Platform] = None,
         quantum_ns: int = 4_000_000,
         partition: Optional[Dict[str, int]] = None,
-        parallel: bool = False,
         profile: Optional[Dict[str, Any]] = None,
     ) -> None:
         """``partition`` pins component names to shard indices (wins over
-        the heuristic); ``parallel`` runs each synchronization window on
-        one OS thread per shard instead of cooperatively.  ``profile`` is
-        an observed-traffic document (``repro.profile/v1``, see
-        :meth:`profile`): when given, its busy times weight the nodes and
-        its message counts weight the edges of the deploy-time partition
-        -- the measure -> repartition -> rerun loop."""
+        the heuristic).  ``profile`` is an observed-traffic document
+        (``repro.profile/v1``, see :meth:`profile`): when given, its busy
+        times weight the nodes and its message counts weight the edges of
+        the deploy-time partition -- the measure -> repartition -> rerun
+        loop."""
         if n_shards < 1:
             raise RuntimeError_(f"need at least one shard, got {n_shards}")
         self.n_shards = int(n_shards)
         self.partition_hint = dict(partition or {})
-        self.parallel = parallel
         self.profile_hint = profile
         super().__init__(platform=platform, quantum_ns=quantum_ns)
 
@@ -874,15 +871,9 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
 
     # -- lifecycle -------------------------------------------------------------
 
-    def _run_sim(self) -> None:
-        if self.parallel:
-            self.sim.run_parallel()
-        else:
-            self.sim.run()
-
     def wait(self) -> None:
         """Run all shards to completion under conservative sync."""
-        self._run_sim()
+        self.sim.run()
         self.makespan_ns = max(s.kernel.now for s in self.shards)
         stuck = [
             cont.component.name
@@ -965,7 +956,7 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
         plan = list(plan) if plan is not None else self._default_plan()
         flow = observer.collect(cont.context, plan)
         handle = self._spawn_flow(flow, name=f"{observer.name}.query", cont=cont)
-        self._run_sim()
+        self.sim.run()
         if handle.state != DONE:
             raise RuntimeError_(f"observer query flow stuck in state {handle.state}")
         return handle.result
@@ -991,7 +982,7 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
                     shard.stage(Envelope(now + 1, now, "", "runtime.shutdown", i, deliver))
         for system in self.systems:
             system.shutdown()
-        self._run_sim()
+        self.sim.run()
 
 
 class Sti7200SimRuntime(SimRuntime):

@@ -18,10 +18,9 @@ oracle.
 
 Two containers move envelopes:
 
-- :class:`Mailbox` -- the cross-shard handoff: a lock-protected FIFO the
-  *sending* shard posts into and the *receiving* shard drains at
-  synchronization points.  This is the only structure touched by two
-  shards.
+- :class:`Mailbox` -- the cross-shard handoff: a FIFO the *sending*
+  shard posts into and the *receiving* shard drains at synchronization
+  points.  This is the only structure touched by two shards.
 - :class:`Staging` -- the receiving shard's private priority queue of
   undelivered envelopes, ordered by key.  Envelopes are released into
   the shard kernel in key order, batch-wise below a conservative time
@@ -31,7 +30,6 @@ Two containers move envelopes:
 
 from __future__ import annotations
 
-import threading
 from heapq import heapify, heappop, heappush
 from sys import intern as _intern
 from typing import Any, Callable, Iterable, List, Optional, Tuple
@@ -94,33 +92,26 @@ class Envelope:
 
 
 class Mailbox:
-    """Thread-safe FIFO of envelopes posted by other shards.
+    """FIFO of envelopes posted by other shards.
 
-    The parallel (window-barrier) driver has sender shards posting while
-    the receiver runs, so ``post``/``drain`` take a lock; the cooperative
-    driver pays the same (uncontended) lock for one code path.  Order of
-    the FIFO itself is irrelevant -- envelopes are re-ordered by key in
-    the receiver's :class:`Staging`.
+    Order of the FIFO itself is irrelevant -- envelopes are re-ordered
+    by key in the receiver's :class:`Staging`.
     """
 
     def __init__(self) -> None:
         self._items: List[Envelope] = []
-        self._lock = threading.Lock()
 
     def post(self, envelope: Envelope) -> None:
         """Enqueue an envelope (called from the *sending* shard)."""
-        with self._lock:
-            self._items.append(envelope)
+        self._items.append(envelope)
 
     def drain(self) -> List[Envelope]:
         """Remove and return all pending envelopes (receiving shard)."""
-        with self._lock:
-            items, self._items = self._items, []
+        items, self._items = self._items, []
         return items
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._items)
+        return len(self._items)
 
 
 def _deliver_group(group: List[Envelope]) -> Callable[[], None]:

@@ -1,7 +1,7 @@
 """Sharded conservative parallel discrete-event simulation.
 
 One logical machine is partitioned into N *shards*, each owning a
-private :class:`~repro.sim.kernel.Kernel` (clock + calendar queue) and a
+private :class:`~repro.sim.kernel.Kernel` (clock + event heap) and a
 disjoint subset of the component graph.  Shards exchange messages only
 through the envelope layer of :mod:`repro.sim.mailbox` and advance under
 **conservative synchronization** (Chandy/Misra/Bryant family): the
@@ -13,9 +13,8 @@ delay, so shard *i* may freely execute everything strictly below
 where ``eot_j`` is shard *j*'s earliest possible next activity and
 ``lookahead(j, i)`` is the smallest link latency of any channel from *j*
 to *i*.  No null messages circulate; a coordinator recomputes the bounds
-each sweep (a time-window barrier), either cooperatively on one OS
-thread (deterministic wall-clock, the default) or with one OS thread per
-shard (:meth:`ShardedSimulation.run_parallel`).
+each sweep (a time-window barrier) and runs every shard below its bound
+in turn on the calling thread.
 
 Determinism contract
 --------------------
@@ -42,7 +41,6 @@ traces bit-compatible.
 
 from __future__ import annotations
 
-import threading
 from itertools import count
 from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -360,8 +358,7 @@ class Shard:
         self.staging.push(envelope)
 
     def post(self, envelope: Envelope) -> None:
-        """Post a *cross-shard* delivery (called by the sending shard;
-        thread-safe)."""
+        """Post a *cross-shard* delivery (called by the sending shard)."""
         if self.on_envelope is not None:
             self.on_envelope(envelope, True)
         self.inbox.post(envelope)
@@ -545,10 +542,8 @@ class ShardedSimulation:
         return True
 
     def run(self) -> int:
-        """Cooperative driver: one sweep at a time on the calling thread.
-
-        Fully deterministic and allocation-light -- the default for
-        correctness-sensitive runs.  Returns the number of sweeps."""
+        """Run every shard to quiescence, one sweep at a time on the
+        calling thread.  Returns the number of sweeps."""
         shards = self.shards
         while True:
             for shard in shards:
@@ -566,54 +561,4 @@ class ShardedSimulation:
                 raise DeadlockError(
                     "conservative synchronization stalled: no shard below its bound"
                 )
-            self.sweeps += 1
-
-    def run_parallel(self) -> int:
-        """Window-barrier driver: every runnable shard executes its
-        window on its own OS thread, then all rejoin.
-
-        Bounds come from the same pre-sweep snapshot as :meth:`run` and
-        all deliveries go through the same keyed staging, so results are
-        identical to the cooperative driver -- the threads only overlap
-        the wall-clock execution of one window."""
-        shards = self.shards
-        while True:
-            for shard in shards:
-                shard.drain_inbox()
-            eots = [s.eot() for s in shards]
-            if self._finished(eots):
-                return self.sweeps
-            bounds = self._bounds(eots)
-            runnable = [i for i in range(len(shards)) if eots[i] < bounds[i]]
-            if not runnable:
-                raise DeadlockError(
-                    "conservative synchronization stalled: no shard below its bound"
-                )
-            if len(runnable) == 1:
-                shards[runnable[0]].run_until(bounds[runnable[0]])
-            else:
-                errors: List[Optional[BaseException]] = [None] * len(runnable)
-
-                def window(slot: int, shard: Shard, bound: float) -> None:
-                    try:
-                        shard.run_until(bound)
-                    except BaseException as exc:  # noqa: BLE001 - rejoined below
-                        errors[slot] = exc
-
-                threads = [
-                    threading.Thread(
-                        target=window,
-                        args=(slot, shards[i], bounds[i]),
-                        name=f"{shards[i].name}.window",
-                        daemon=True,
-                    )
-                    for slot, i in enumerate(runnable)
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-                for exc in errors:
-                    if exc is not None:
-                        raise exc
             self.sweeps += 1

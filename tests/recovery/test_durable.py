@@ -5,10 +5,10 @@ The tentpole oracle in miniature, without spawning OS processes (that is
 fault and *everything in memory is discarded* -- a fresh application,
 fresh runtime and fresh :class:`RecoveryManager` pointed at the same
 durable directory must rebuild the consistent cut and finish the stream
-exactly-once.  Plus the PR 4 satellite extended to the durable path:
-deadline timers on the 256-slot timer wheel must not leak across a
-*disk* restore, and the sharded runtime's refusal of replay is enforced
-at install time rather than by silent corruption.
+exactly-once.  Plus the receive-deadline check extended to the durable
+path: deadline timers must not leak across a *disk* restore, and the
+sharded runtime's refusal of replay is enforced at install time rather
+than by silent corruption.
 """
 
 import numpy as np
@@ -125,12 +125,11 @@ def test_frame_store_is_idempotent_per_index(tmp_path):
     assert np.array_equal(loaded[0], img * 2)
 
 
-# -- the PR 4 timer-wheel satellite, extended to the durable path --------------
+# -- receive-deadline timers, extended to the durable path --------------------
 
 
 class DeadlineSink(Component):
-    """Checkpointable consumer whose every receive arms a deadline timer
-    on the 256-slot wheel."""
+    """Checkpointable consumer whose every receive arms a deadline timer."""
 
     def __init__(self, timeout_ns):
         super().__init__("cons")

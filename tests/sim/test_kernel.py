@@ -74,6 +74,27 @@ def test_run_until_stops_before_future_events():
     assert fired == ["early", "late"]
 
 
+def test_run_until_in_the_past_rejected():
+    k = Kernel()
+    fired = []
+    k.schedule(10, fired.append, "a")
+    k.run()
+    assert k.now == 10
+    k.schedule(5, fired.append, "b")
+    # running "until" an instant already passed would rewind the clock
+    # behind the event that fired at t=10
+    with pytest.raises(SchedulingError):
+        k.run(until=3)
+    assert k.now == 10
+    with pytest.raises(SchedulingError):
+        k.schedule_at(4, fired.append, "c")
+    k.run(until=10)  # until == now is a no-op, not an error
+    assert k.now == 10 and fired == ["a"]
+    k.run()
+    assert fired == ["a", "b"]
+    assert k.now == 15
+
+
 def test_run_max_events():
     k = Kernel()
     fired = []

@@ -2,8 +2,8 @@
 
 The kernel's ordering contract -- fire by (time, scheduling order),
 regardless of which internal queue an event rides -- must survive the
-O(1) ``pending`` counter, the immediate-queue ``call_soon`` fast path,
-calendar-queue compaction, the timer wheel and handle pooling.
+O(1) ``pending`` counter, the immediate-queue ``call_soon`` fast path
+and tombstone compaction.
 """
 
 import random

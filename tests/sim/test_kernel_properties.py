@@ -1,4 +1,4 @@
-"""Property tests: the calendar-queue kernel vs the heap reference model.
+"""Property tests: the tuple-heap kernel vs the handle-heap reference model.
 
 Each seed generates one randomized command script -- schedule bursts at
 tie-heavy / medium / far-future delays, ``schedule_at``, ``call_soon``,
@@ -10,9 +10,9 @@ every dispatched ``(time, tag)`` in order, every ``peek``/``pending``
 observation, the final clock and the executed-event count.
 
 Tags are unique per scheduled event, so trace equality pins the exact
-``(time, seq)`` dispatch order, including FIFO tie-breaks across the
-immediate queue, the calendar buckets, the far-future spill and the
-timer wheel.
+``(time, seq)`` dispatch order, including FIFO tie-breaks between the
+immediate queue and the heap, across tombstone compaction and deadline
+timers.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from reference_kernel import ReferenceKernel
 
 SEEDS = [1, 7, 42]
 
-# Delay palettes chosen to land in every calendar structure: dense ties
-# (due-run insorts), bucket-scale gaps, and far-future spill/migration.
+# Delay palettes: dense ties, medium gaps and far-future outliers.
 _TIE_DELAYS = (0, 1, 2, 3, 5, 8)
 _MED_MAX = 50_000
 _FAR_MAX = 2_000_000_000
@@ -160,7 +159,7 @@ def test_calendar_matches_heap_reference(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dispatch_times_monotone(seed):
-    """Sanity on the calendar itself: fire times never go backwards."""
+    """Sanity on the kernel itself: fire times never go backwards."""
     script = _gen_script(seed, n_ops=400)
     cal = _Driver(Kernel())
     cal.replay(script)

@@ -1,13 +1,11 @@
 """Unit tests for the sharded conservative simulation layer.
 
 Covers the kernel hooks the shard coordinator relies on
-(``deadlock_check``, ``on_idle``, purge threshold re-derivation), the
-partitioning helpers, span-id ranges, the envelope/mailbox/staging
-machinery, and the coordinator itself (delivery-order invariance across
-shard counts, deadlock semantics, cooperative vs parallel drivers).
+(``deadlock_check``, ``on_idle``), the partitioning helpers, span-id
+ranges, the envelope/mailbox/staging machinery, and the coordinator
+itself (delivery-order invariance across shard counts, deadlock
+semantics).
 """
-
-import threading
 
 import pytest
 
@@ -83,25 +81,6 @@ def test_kernel_on_idle_false_falls_through_to_deadlock():
     kernel.on_idle = lambda: False
     with pytest.raises(DeadlockError):
         kernel.run()
-
-
-def test_purge_rederives_ready_cap():
-    """Regression: a purge that drops most of a bloated due run must
-    re-derive the pressure threshold from the compacted population, not
-    keep the geometrically backed-off one."""
-    kernel = Kernel()
-    noop = lambda: None  # noqa: E731
-    # Dense same-timestamp inserts into the due window back the
-    # threshold off geometrically without rebuilding.
-    handles = [kernel.schedule(5, noop) for _ in range(5000)]
-    assert kernel._ready_cap > 4096
-    # Cancel nearly everything; compaction triggers repeatedly on the way.
-    for handle in handles[:4990]:
-        handle.cancel()
-    assert kernel._n_cancelled < 64  # purges ran; only a sub-threshold tail left
-    assert kernel._ready_cap == 512  # max(512, live << 1), re-derived by purge
-    kernel.run()
-    assert kernel.now == 5
 
 
 # -- partitioning helpers ------------------------------------------------------
@@ -294,17 +273,11 @@ def test_envelope_rejects_receive_before_send():
         Envelope(5, 9, "a", "out", 0, lambda: None)
 
 
-def test_mailbox_post_drain_roundtrip_threaded():
+def test_mailbox_post_drain_roundtrip():
     mailbox = Mailbox()
     envs = [Envelope(i + 1, i, f"c{i % 4}", "out", i, lambda: None) for i in range(64)]
-    threads = [
-        threading.Thread(target=lambda sl=sl: [mailbox.post(e) for e in sl])
-        for sl in (envs[:32], envs[32:])
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    for env in envs:
+        mailbox.post(env)
     assert len(mailbox) == 64
     drained = mailbox.drain()
     assert len(drained) == 64 and len(mailbox) == 0
@@ -381,7 +354,7 @@ def test_release_batched_groups_by_recv_time_in_key_order():
 # -- coordinator ---------------------------------------------------------------
 
 
-def _pipeline_run(n_shards: int, parallel: bool = False, batch: bool = True):
+def _pipeline_run(n_shards: int, batch: bool = True):
     """A 4-chain x 3-stage pipeline on the raw shard layer; returns the
     per-stage-component delivery log."""
     n_chains, n_stages = 4, 3
@@ -420,7 +393,7 @@ def _pipeline_run(n_shards: int, parallel: bool = False, batch: bool = True):
             shards[shard_of[(c, 0)]].stage(
                 Envelope(t, 0, "", f"c{c}", item, lambda c=c, i=item, t=t: handler(c, 0, i, t))
             )
-    sweeps = sim.run_parallel() if parallel else sim.run()
+    sweeps = sim.run()
     assert sweeps >= 1
     return log
 
@@ -430,10 +403,6 @@ def test_delivery_log_invariant_across_shard_counts():
     assert all(len(v) == 5 for v in reference.values())
     for n_shards in (2, 3, 4):
         assert _pipeline_run(n_shards) == reference
-
-
-def test_parallel_driver_matches_cooperative():
-    assert _pipeline_run(4, parallel=True) == _pipeline_run(4, parallel=False)
 
 
 def test_pipeline_batched_release_matches_per_envelope():
