@@ -11,12 +11,20 @@ This is the substrate shared by the Linux-like scheduler
 - :class:`Compute` -- occupy the CPU for a modelled amount of work,
 - :class:`YieldCpu` -- voluntarily relinquish the CPU.
 
-Each core runs a dispatcher process.  Compute work is executed in
-*interruptible slices*: the dispatcher arms a slice-end timer and waits on
-an event that either the timer or a preemption request triggers, then
-charges the thread for the time actually run.  This keeps the event count
-O(#scheduling decisions), not O(compute time / quantum), while still
-modelling priority preemption exactly.
+Cores are driven by plain kernel callbacks on :class:`ExecEngine`, not
+by processes.  ``_dispatch`` picks threads for an idle core and runs
+them until one starts computing; compute work then executes as an
+*interruptible slice*: exactly one kernel timer whose callback charges
+the thread for the time actually run and continues it.  A preemption
+cancels the timer and ends the slice early.  A compute slice therefore
+costs one kernel event, and the event count stays O(#scheduling
+decisions), not O(compute time / quantum), while priority preemption is
+still modelled exactly.
+
+A slice-end callback continues the thread inline only when nothing
+else is due at the current instant; otherwise it hops through
+``call_soon``, so every entry already queued at that instant runs
+first.  ``kick`` and ``preempt`` always hop once through ``call_soon``.
 
 Scheduling policy is pluggable (:class:`SchedPolicy`); the engine itself
 is policy-free.
@@ -30,7 +38,7 @@ from typing import Any, Callable, Deque, Generator, Iterable, Optional, Protocol
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event
 from repro.sim.kernel import Kernel
-from repro.sim.process import Command, Process, Timeout, WaitEvent
+from repro.sim.process import Command, Timeout, WaitEvent
 
 
 class Compute(Command):
@@ -141,7 +149,11 @@ class SchedThread:
 
 
 class CpuCore:
-    """One modelled core: a CPU model plus a dispatcher process."""
+    """One modelled core: a CPU model plus the engine's per-core state.
+
+    The core is either running a thread (``current``), parked idle until
+    :meth:`kick`, or between the two while a dispatch is queued.
+    """
 
     __slots__ = (
         "engine",
@@ -149,10 +161,11 @@ class CpuCore:
         "model",
         "current",
         "busy_ns",
-        "_idle_event",
-        "_slice_event",
+        "_parked",
         "_slice_timer",
-        "_dispatcher",
+        "_slice_start",
+        "_quantum",
+        "_budget",
     )
 
     def __init__(self, engine: "ExecEngine", index: int, model: Any) -> None:
@@ -161,10 +174,15 @@ class CpuCore:
         self.model = model
         self.current: Optional[SchedThread] = None
         self.busy_ns = 0
-        self._idle_event: Optional[Event] = None
-        self._slice_event: Optional[Event] = None
+        #: Idle with nothing to pick; only :meth:`kick` resumes it.
+        self._parked = False
+        #: The pending slice-end timer while a compute slice runs.
         self._slice_timer = None
-        self._dispatcher: Optional[Process] = None
+        self._slice_start = 0
+        #: The running thread's quantum and what is left of it (None:
+        #: run to completion).
+        self._quantum: Optional[int] = None
+        self._budget: Optional[int] = None
 
     @property
     def idle(self) -> bool:
@@ -176,19 +194,18 @@ class CpuCore:
         return self.busy_ns / elapsed_ns if elapsed_ns > 0 else 0.0
 
     def kick(self) -> None:
-        """Wake the dispatcher if it is idle-waiting."""
-        if self._idle_event is not None and not self._idle_event.triggered:
-            ev, self._idle_event = self._idle_event, None
-            ev.trigger(None)
+        """Wake the core if it is parked idle."""
+        if self._parked:
+            self._parked = False
+            self.engine.kernel.call_soon(self.engine._dispatch, self)
 
     def preempt(self) -> None:
         """Interrupt the current compute slice (no-op when not computing)."""
-        if self._slice_event is not None and not self._slice_event.triggered:
-            if self._slice_timer is not None:
-                self._slice_timer.cancel()
-                self._slice_timer = None
-            ev, self._slice_event = self._slice_event, None
-            ev.trigger("preempt")
+        timer = self._slice_timer
+        if timer is not None:
+            timer.cancel()
+            self._slice_timer = None
+            self.engine.kernel.call_soon(self.engine._slice_done, self, True)
 
     def __repr__(self) -> str:  # pragma: no cover
         running = self.current.name if self.current else "idle"
@@ -241,9 +258,7 @@ class ExecEngine:
         self.on_context_switch: Optional[Callable[[CpuCore, Optional[SchedThread], Optional[SchedThread]], None]] = None
         self._shutdown = False
         for core in self.cores:
-            core._dispatcher = Process(
-                kernel, self._dispatch_loop(core), name=f"cpu{core.index}.dispatch", daemon=True
-            )
+            kernel.call_soon(self._dispatch, core)
 
     # -- public API ----------------------------------------------------------
 
@@ -266,10 +281,10 @@ class ExecEngine:
         return thread
 
     def shutdown(self) -> None:
-        """Let dispatcher loops exit once every spawned thread has finished.
+        """Stop the cores once every spawned thread has finished.
 
-        Without this the idle dispatchers would count as live processes and
-        ``Kernel.run()`` would report a deadlock when the event queue drains.
+        Until then an idle core parks and waits for work; afterwards it
+        stops, and a thread spawned later never runs.
         """
         self._shutdown = True
         for core in self.cores:
@@ -280,6 +295,17 @@ class ExecEngine:
         if self._shutdown and self.alive_threads == 0:
             for core in self.cores:
                 core.kick()
+
+    def _thread_failed(self, thread: SchedThread, error: BaseException) -> bool:
+        thread.state = FAILED
+        thread.error = error
+        thread.end_time_ns = self.kernel.now
+        self._thread_finished()
+        if self.on_thread_error is None:
+            raise error
+        self.on_thread_error(thread, error)
+        thread.done.trigger(None)
+        return True
 
     # -- internals -------------------------------------------------------------
 
@@ -323,135 +349,124 @@ class ExecEngine:
         thread._send_value = value
         self._make_ready(thread)
 
-    def _dispatch_loop(self, core: CpuCore) -> Generator[Command, Any, None]:
-        kernel = self.kernel
+    def _dispatch(self, core: CpuCore) -> None:
+        """Run READY threads on the idle ``core`` until one starts a
+        compute slice; park the core when nothing is left to pick."""
+        policy = self.policy
         while True:
-            thread = self.policy.pick(self, core)
+            thread = policy.pick(self, core)
             if thread is None:
-                if self._shutdown and self.alive_threads == 0:
-                    return
-                ev = Event(kernel, name=f"cpu{core.index}.idle")
-                core._idle_event = ev
-                yield WaitEvent(ev)
-                continue
-
+                core._parked = not (self._shutdown and self.alive_threads == 0)
+                return
             core.current = thread
             thread.core = core
             thread.state = RUNNING
             thread.context_switches += 1
             if self.on_context_switch is not None:
                 self.on_context_switch(core, None, thread)
+            contended = policy.has_ready(self, core)
+            core._quantum = core._budget = policy.quantum_ns(thread, contended)
+            offcpu = self._run(core, thread)
+            if offcpu is None:
+                return
+            self._switch_out(core, thread, offcpu)
 
-            offcpu = yield from self._run_thread_on(core, thread)
+    def _switch_out(self, core: CpuCore, thread: SchedThread, offcpu: bool) -> None:
+        core.current = None
+        if self.on_context_switch is not None:
+            self.on_context_switch(core, thread, None)
+        if not offcpu and thread.alive:
+            # Preempted or quantum-expired: back to the ready queue.
+            thread.state = READY
+            self.policy.enqueue(self, thread)
 
-            core.current = None
-            if self.on_context_switch is not None:
-                self.on_context_switch(core, thread, None)
-            if not offcpu and thread.alive:
-                # Preempted or quantum-expired: back to the ready queue.
-                thread.state = READY
-                self.policy.enqueue(self, thread)
-
-    def _advance(self, thread: SchedThread) -> tuple[str, Any]:
-        """Resume the thread generator one step; classify the outcome."""
-        try:
-            if thread._throw_exc is not None:
-                exc, thread._throw_exc = thread._throw_exc, None
-                cmd = thread.body.throw(exc)
-            else:
-                value, thread._send_value = thread._send_value, None
-                cmd = thread.body.send(value)
-        except StopIteration as stop:
-            return "done", stop.value
-        except BaseException as error:  # noqa: BLE001 - funnelled to thread.error
-            return "failed", error
-        return "cmd", cmd
-
-    def _run_thread_on(
-        self, core: CpuCore, thread: SchedThread
-    ) -> Generator[Command, Any, bool]:
-        """Run ``thread`` until it blocks/sleeps/finishes (returns True) or
-        is preempted / exhausts its quantum (returns False)."""
+    def _run(self, core: CpuCore, thread: SchedThread) -> Optional[bool]:
+        """Advance ``thread`` until it starts a compute slice (returns
+        None), leaves the CPU blocked, asleep or finished (True) or
+        yields it (False)."""
         kernel = self.kernel
-        contended = self.policy.has_ready(self, core)
-        quantum = self.policy.quantum_ns(thread, contended)
-        slice_budget = quantum
-
-        while True:
-            # Finish any partially executed compute first.
-            if thread._remaining_compute_ns is None:
-                kind, payload = self._advance(thread)
-                if kind == "done":
-                    thread.state = DONE
-                    thread.result = payload
-                    thread.end_time_ns = kernel.now
-                    thread.done.trigger(payload)
-                    self._thread_finished()
-                    return True
-                if kind == "failed":
-                    thread.state = FAILED
-                    thread.error = payload
-                    thread.end_time_ns = kernel.now
-                    self._thread_finished()
-                    if self.on_thread_error is not None:
-                        self.on_thread_error(thread, payload)
-                        thread.done.trigger(None)
-                        return True
-                    raise payload
-                cmd = payload
-                if isinstance(cmd, Compute):
-                    cost = int(core.model.cost_ns(cmd.opclass, cmd.units))
-                    if cost <= 0:
-                        continue
-                    thread._remaining_compute_ns = cost
-                elif isinstance(cmd, Timeout):
-                    thread.state = SLEEPING
-                    kernel.schedule(cmd.delay_ns, self._wake, thread, None)
-                    return True
-                elif isinstance(cmd, WaitEvent):
-                    thread.state = BLOCKED
-                    cmd.event.add_waiter(lambda v, t=thread: self._wake(t, v))
-                    return True
-                elif isinstance(cmd, YieldCpu):
-                    return False
+        body = thread.body
+        # Finish any partially executed compute first.
+        while thread._remaining_compute_ns is None:
+            try:
+                if thread._throw_exc is not None:
+                    exc, thread._throw_exc = thread._throw_exc, None
+                    cmd = body.throw(exc)
                 else:
-                    thread._throw_exc = SimulationError(
-                        f"thread {thread.name!r} yielded non-command {cmd!r}; "
-                        "did you forget 'yield from'?"
-                    )
-                    continue
-
-            # Execute (part of) the pending compute as an interruptible slice.
-            remaining = thread._remaining_compute_ns
-            run_ns = remaining if slice_budget is None else min(remaining, slice_budget)
-            started = kernel.now
-            ev = Event(kernel, name=f"cpu{core.index}.slice")
-            core._slice_event = ev
-            core._slice_timer = kernel.schedule(run_ns, self._end_slice, core, ev)
-            reason = yield WaitEvent(ev)
-            core._slice_event = None
-            core._slice_timer = None
-            ran = kernel.now - started
-            core.busy_ns += ran
-            thread.cpu_time_ns += ran
-            left = remaining - ran
-            thread._remaining_compute_ns = left if left > 0 else None
-            if reason == "preempt":
+                    value, thread._send_value = thread._send_value, None
+                    cmd = body.send(value)
+            except StopIteration as stop:
+                thread.state = DONE
+                thread.result = stop.value
+                thread.end_time_ns = kernel.now
+                thread.done.trigger(stop.value)
+                self._thread_finished()
+                return True
+            except BaseException as error:  # noqa: BLE001 - funnelled to thread.error
+                return self._thread_failed(thread, error)
+            if isinstance(cmd, Compute):
+                cost = int(core.model.cost_ns(cmd.opclass, cmd.units))
+                if cost > 0:
+                    thread._remaining_compute_ns = cost
+            elif isinstance(cmd, Timeout):
+                thread.state = SLEEPING
+                kernel.schedule(cmd.delay_ns, self._wake, thread, None)
+                return True
+            elif isinstance(cmd, WaitEvent):
+                thread.state = BLOCKED
+                cmd.event.add_waiter(lambda v, t=thread: self._wake(t, v))
+                return True
+            elif isinstance(cmd, YieldCpu):
                 return False
-            if slice_budget is not None:
-                slice_budget -= ran
-                if thread._remaining_compute_ns is not None and slice_budget <= 0:
-                    if self.policy.has_ready(self, core):
-                        return False
-                    # Nobody waiting: keep the CPU for another quantum.
-                    slice_budget = quantum
+            else:
+                thread._throw_exc = SimulationError(
+                    f"thread {thread.name!r} yielded non-command {cmd!r}; "
+                    "did you forget 'yield from'?"
+                )
 
-    @staticmethod
-    def _end_slice(core: CpuCore, ev: Event) -> None:
-        if not ev.triggered:
-            core._slice_timer = None
-            core._slice_event = None
-            ev.trigger("timer")
+        # Execute (part of) the pending compute as an interruptible slice.
+        remaining = thread._remaining_compute_ns
+        budget = core._budget
+        core._slice_start = kernel.now
+        core._slice_timer = kernel.schedule(
+            remaining if budget is None else min(remaining, budget), self._slice_end, core
+        )
+        return None
+
+    def _slice_end(self, core: CpuCore) -> None:
+        core._slice_timer = None
+        if self.kernel.nothing_due_now():
+            self._slice_done(core, False)
+        else:
+            # Entries already due now run first; the continuation
+            # queues behind them.
+            self.kernel.call_soon(self._slice_done, core, False)
+
+    def _slice_done(self, core: CpuCore, preempted: bool) -> None:
+        """Charge the slice that just ended, then continue its thread or
+        switch it out (preempted, or quantum spent with others waiting)."""
+        thread = core.current
+        ran = self.kernel.now - core._slice_start
+        core.busy_ns += ran
+        thread.cpu_time_ns += ran
+        left = thread._remaining_compute_ns - ran
+        thread._remaining_compute_ns = left if left > 0 else None
+        keep = not preempted
+        if keep and core._budget is not None:
+            core._budget -= ran
+            if left > 0 and core._budget <= 0:
+                # Quantum spent: keep the CPU for another one only when
+                # nobody is waiting.
+                keep = not self.policy.has_ready(self, core)
+                core._budget = core._quantum
+        if keep:
+            offcpu = self._run(core, thread)
+            if offcpu is None:
+                return
+        else:
+            offcpu = False
+        self._switch_out(core, thread, offcpu)
+        self._dispatch(core)
 
     # Optional error hook (set by OS layers); default None re-raises.
     on_thread_error: Optional[Callable[[SchedThread, BaseException], None]] = None

@@ -177,6 +177,16 @@ class Kernel:
             return min(imm[0][0], heap[0][0]) if heap else imm[0][0]
         return heap[0][0] if heap else None
 
+    def nothing_due_now(self) -> bool:
+        """True when no entry is queued at the current instant.
+
+        A callback may then continue inline with work it would otherwise
+        ``call_soon``: that work would have been the very next event, so
+        the event order is the same.  Cancelled entries still stored
+        count as due (the answer errs towards the hop)."""
+        heap = self._heap
+        return not self._imm and (not heap or heap[0][0] > self._now)
+
     def idle_advance(self, time_ns: int) -> None:
         """Move the idle clock forward to ``time_ns`` without dispatching.
 

@@ -44,8 +44,8 @@ class Envelope:
     ``deliver`` is a zero-arg callable executed *on the receiving
     shard's kernel* at ``recv_time`` (typically a bound ``Channel.put``).
     Comparison is by key only -- keys are unique per logical message
-    (each sender context numbers its sends), so heaps of envelopes never
-    fall back to comparing callables.
+    (each sender context numbers its sends).  :class:`Staging` does not
+    call ``__lt__``: it heaps the key tuples themselves.
     """
 
     __slots__ = ("recv_time", "send_time", "src", "src_interface", "seq", "deliver")
@@ -133,10 +133,14 @@ def _deliver_group(group: List[Envelope]) -> Callable[[], None]:
 
 
 class Staging:
-    """A shard-private min-heap of envelopes ordered by delivery key."""
+    """A shard-private min-heap of envelopes ordered by delivery key.
+
+    The heap holds ``(*key, envelope)`` tuples, so every sift is a C
+    tuple comparison; keys are unique, so it never reaches the envelope.
+    """
 
     def __init__(self) -> None:
-        self._heap: List[Envelope] = []
+        self._heap: List[tuple] = []
         self.released = 0
         #: Kernel callbacks actually scheduled by :meth:`release_batched`
         #: -- ``released / batches`` is the cross-shard batch factor the
@@ -145,13 +149,21 @@ class Staging:
 
     def push(self, envelope: Envelope) -> None:
         """Stage one envelope for later release."""
-        heappush(self._heap, envelope)
+        # The entry layout is repeated in push_many.
+        heappush(
+            self._heap,
+            (envelope.recv_time, envelope.send_time, envelope.src,
+             envelope.src_interface, envelope.seq, envelope),
+        )
 
     def push_many(self, envelopes: Iterable[Envelope]) -> int:
         """Stage a chunk of envelopes in one O(n) heapify instead of n
         O(log n) sifts -- the mailbox drain path hands over a whole
         window's worth of cross-shard arrivals at once."""
-        items = list(envelopes)
+        items = [
+            (env.recv_time, env.send_time, env.src, env.src_interface, env.seq, env)
+            for env in envelopes
+        ]
         if not items:
             return 0
         heap = self._heap
@@ -159,13 +171,13 @@ class Staging:
             heap.extend(items)
             heapify(heap)
         else:
-            for env in items:
-                heappush(heap, env)
+            for entry in items:
+                heappush(heap, entry)
         return len(items)
 
     def min_recv_time(self) -> Optional[int]:
         """Earliest staged ``recv_time``, or None when empty."""
-        return self._heap[0].recv_time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def release_below(self, horizon: int, schedule: Callable[[int, Any], Any]) -> int:
         """Release every envelope with ``recv_time < horizon`` into the
@@ -179,8 +191,8 @@ class Staging:
         identical dispatch traces."""
         heap = self._heap
         n = 0
-        while heap and heap[0].recv_time < horizon:
-            env = heappop(heap)
+        while heap and heap[0][0] < horizon:
+            env = heappop(heap)[-1]
             schedule(env.recv_time, env.deliver)
             n += 1
         self.released += n
@@ -201,11 +213,11 @@ class Staging:
         per envelope -- the cross-shard event count drops by the batch
         factor."""
         heap = self._heap
-        if not heap or heap[0].recv_time >= horizon:
+        if not heap or heap[0][0] >= horizon:
             return 0
         batch: List[Envelope] = []
-        while heap and heap[0].recv_time < horizon:
-            batch.append(heappop(heap))
+        while heap and heap[0][0] < horizon:
+            batch.append(heappop(heap)[-1])
         n = len(batch)
         i = 0
         while i < n:

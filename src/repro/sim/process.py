@@ -78,7 +78,7 @@ class Process:
         exception inside the body is re-raised out of the kernel loop.
     daemon:
         Daemon processes do not count towards the kernel's deadlock
-        detection -- use for service loops (e.g. CPU dispatchers) that
+        detection -- use for service loops (e.g. a fault clock) that
         legitimately idle forever.
     """
 

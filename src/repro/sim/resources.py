@@ -50,7 +50,7 @@ class Semaphore:
 
     @property
     def value(self) -> int:
-        """The trigger value (error before the event fires)."""
+        """Units currently available to acquire without blocking."""
         return self._count
 
     @property

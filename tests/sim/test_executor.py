@@ -6,6 +6,7 @@ from repro.sim import Channel, Event, Kernel, Timeout, WaitEvent
 from repro.sim.executor import (
     Compute,
     ExecEngine,
+    FairPolicy,
     PriorityPolicy,
     RoundRobinPolicy,
     YieldCpu,
@@ -286,3 +287,353 @@ def test_context_switch_hook():
     k.run()
     assert (0, None, "t1") in switches
     assert (0, "t1", None) in switches
+
+
+# -- pinned schedules for paths the MJPEG runs never take ----------------------
+#
+# Each scenario returns every thread's (start, end, cpu time, context
+# switches), the context-switch sequence with its instants, and a log the
+# bodies and outside callbacks append to.  The expected values are pinned
+# literals: any change in the order the engine resumes threads at one
+# instant shows up here.
+
+
+class Recorder:
+    def __init__(self, n_cores=1, policy=None):
+        self.k = Kernel()
+        self.eng = ExecEngine(
+            self.k, [UnitCpu() for _ in range(n_cores)], policy or RoundRobinPolicy()
+        )
+        self.log = []
+        self.switches = []
+        self.eng.on_context_switch = lambda core, old, new: self.switches.append(
+            (self.k.now, core.index, old.name if old else None, new.name if new else None)
+        )
+
+    def note(self, tag):
+        self.log.append((self.k.now, tag))
+
+    def compute(self, tag, *units):
+        """A body computing each of ``units`` in turn, noting every end."""
+        for i, n in enumerate(units):
+            yield Compute("op", n)
+            self.note(f"{tag}{i}")
+
+    def result(self):
+        self.k.run()
+        return {
+            "threads": [
+                (t.name, t.start_time_ns, t.end_time_ns, t.cpu_time_ns, t.context_switches)
+                for t in self.eng.threads
+            ],
+            "switches": self.switches,
+            "log": self.log,
+            "now": self.k.now,
+        }
+
+
+def scenario_same_instant_hop():
+    """Two cores end their slices at t=100 next to unrelated events due
+    at the same instant, queued both before and after the slices were
+    armed; a blocked thread woken at t=100 lands on a busy machine."""
+    r = Recorder(n_cores=2, policy=RoundRobinPolicy(quantum_ns=1_000))
+    ev = Event(r.k)
+
+    def before():
+        r.note("before")
+        r.k.call_soon(r.note, "before-soon")
+
+    def waiter():
+        value = yield WaitEvent(ev)
+        r.note(f"woke-{value}")
+        yield from r.compute("w", 30)
+
+    r.k.schedule(100, before)
+    r.eng.spawn(waiter(), name="w")
+    r.eng.spawn(r.compute("a", 100, 50), name="a")
+    r.eng.spawn(r.compute("b", 100, 70), name="b")
+    r.k.schedule(100, ev.trigger, "x")
+    r.k.schedule(100, r.k.call_soon, r.note, "after-soon")
+    r.eng.shutdown()
+    return r.result()
+
+
+def scenario_priority_preempt_at_slice_end():
+    """High-priority spawns due exactly when the running slice ends:
+    at t=100 queued before the slice timer (the slice is preempted), at
+    t=240 queued after it (the slice has ended, the spawn only queues)."""
+    r = Recorder(n_cores=1, policy=PriorityPolicy(quantum_ns=1_000_000))
+
+    def spawn(name):
+        r.eng.spawn(r.compute(f"{name}-", 40), name=name, priority=9)
+
+    r.k.schedule(100, spawn, "h1")
+    r.eng.spawn(r.compute("low", 100, 100, 60), name="low", priority=1)
+    r.k.schedule(200, r.k.schedule, 40, spawn, "h2")
+    r.eng.shutdown()
+    return r.result()
+
+
+def scenario_round_robin_quantum():
+    """Quantum expiry under contention, a sleeper rejoining the queue, a
+    zero-cost compute and a voluntary yield."""
+    r = Recorder(n_cores=1, policy=RoundRobinPolicy(quantum_ns=10))
+
+    def sleeper():
+        yield Compute("op", 7)
+        yield Timeout(12)
+        r.note("slept")
+        yield Compute("op", 0)
+        yield from r.compute("s", 13)
+
+    def yielder():
+        yield Compute("op", 4)
+        yield YieldCpu()
+        yield from r.compute("y", 9)
+
+    r.eng.spawn(r.compute("a", 25, 3), name="a")
+    r.eng.spawn(sleeper(), name="s")
+    r.eng.spawn(yielder(), name="y")
+    r.eng.spawn(r.compute("c", 10), name="c")
+    r.eng.shutdown()
+    return r.result()
+
+
+def scenario_fair_quantum():
+    """Weighted fair sharing on two cores with a pinned thread and a late
+    arrival that ends a running slice."""
+    r = Recorder(n_cores=2, policy=FairPolicy(quantum_ns=10, weight_step=2.0))
+    r.eng.spawn(r.compute("a", 35), name="a", priority=0)
+    r.eng.spawn(r.compute("b", 35), name="b", priority=1)
+    r.eng.spawn(r.compute("c", 20, 5), name="c", affinity=[1])
+    r.k.schedule(15, lambda: r.eng.spawn(r.compute("d", 12), name="d", priority=2))
+    r.eng.shutdown()
+    return r.result()
+
+
+def scenario_kick_idle_core():
+    """Cores parked idle are woken by a spawn, by a timed wakeup and by an
+    explicit kick with nothing to run."""
+    r = Recorder(n_cores=2, policy=RoundRobinPolicy(quantum_ns=50))
+
+    def napper():
+        yield Timeout(300)
+        r.note("nap-over")
+        yield from r.compute("n", 20)
+
+    r.eng.spawn(napper(), name="n")
+    r.k.schedule(100, r.eng.cores[1].kick)
+    r.k.schedule(100, r.eng.cores[0].kick)
+    r.k.schedule(200, lambda: r.eng.spawn(r.compute("late", 40), name="late"))
+    r.k.schedule(230, lambda: r.eng.spawn(r.compute("later", 40), name="later"))
+    r.eng.shutdown()
+    return r.result()
+
+
+def scenario_shutdown_after_idle():
+    """``shutdown`` arriving after every thread finished, with a failing
+    thread funnelled to ``on_thread_error`` and a non-command yield."""
+    r = Recorder(n_cores=2)
+    errors = []
+    r.eng.on_thread_error = lambda t, e: errors.append((r.k.now, t.name, type(e).__name__))
+
+    def confused():
+        try:
+            yield 42
+        except Exception as exc:  # the engine throws SimulationError back
+            r.note(type(exc).__name__)
+        yield Compute("op", 5)
+        raise ValueError("boom")
+
+    r.eng.spawn(r.compute("a", 30), name="a")
+    r.eng.spawn(confused(), name="x")
+    r.k.schedule(500, r.eng.shutdown)
+    out = r.result()
+    out["errors"] = errors
+    out["pending"] = r.k.pending()
+    return out
+
+
+PINNED_SCHEDULES = {
+    "same_instant_hop": {
+        "threads": [
+            ("w", 0, 180, 30, 2),
+            ("a", 0, 150, 150, 1),
+            ("b", 0, 170, 170, 1),
+        ],
+        "switches": [
+            (0, 0, None, "w"),
+            (0, 0, "w", None),
+            (0, 0, None, "a"),
+            (0, 1, None, "b"),
+            (150, 0, "a", None),
+            (150, 0, None, "w"),
+            (170, 1, "b", None),
+            (180, 0, "w", None),
+        ],
+        "log": [
+            (100, "before"),
+            (100, "before-soon"),
+            (100, "after-soon"),
+            (100, "a0"),
+            (100, "b0"),
+            (150, "a1"),
+            (150, "woke-x"),
+            (170, "b1"),
+            (180, "w0"),
+        ],
+        "now": 180,
+    },
+    "priority_preempt_at_slice_end": {
+        "threads": [
+            ("low", 0, 300, 260, 2),
+            ("h1", 100, 140, 40, 1),
+            ("h2", 240, 340, 40, 1),
+        ],
+        "switches": [
+            (0, 0, None, "low"),
+            (100, 0, "low", None),
+            (100, 0, None, "h1"),
+            (140, 0, "h1", None),
+            (140, 0, None, "low"),
+            (300, 0, "low", None),
+            (300, 0, None, "h2"),
+            (340, 0, "h2", None),
+        ],
+        "log": [
+            (140, "h1-0"),
+            (140, "low0"),
+            (240, "low1"),
+            (300, "low2"),
+            (340, "h2-0"),
+        ],
+        "now": 340,
+    },
+    "round_robin_quantum": {
+        "threads": [
+            ("a", 0, 68, 28, 3),
+            ("s", 0, 71, 20, 3),
+            ("y", 0, 48, 13, 2),
+            ("c", 0, 60, 10, 2),
+        ],
+        "switches": [
+            (0, 0, None, "a"),
+            (10, 0, "a", None),
+            (10, 0, None, "s"),
+            (17, 0, "s", None),
+            (17, 0, None, "y"),
+            (21, 0, "y", None),
+            (21, 0, None, "c"),
+            (29, 0, "c", None),
+            (29, 0, None, "a"),
+            (39, 0, "a", None),
+            (39, 0, None, "y"),
+            (48, 0, "y", None),
+            (48, 0, None, "s"),
+            (58, 0, "s", None),
+            (58, 0, None, "c"),
+            (60, 0, "c", None),
+            (60, 0, None, "a"),
+            (68, 0, "a", None),
+            (68, 0, None, "s"),
+            (71, 0, "s", None),
+        ],
+        "log": [
+            (48, "y0"),
+            (48, "slept"),
+            (60, "c0"),
+            (65, "a0"),
+            (68, "a1"),
+            (71, "s0"),
+        ],
+        "now": 71,
+    },
+    "fair_quantum": {
+        "threads": [
+            ("a", 0, 47, 35, 2),
+            ("b", 0, 55, 35, 4),
+            ("c", 0, 60, 25, 3),
+            ("d", 15, 27, 12, 2),
+        ],
+        "switches": [
+            (0, 0, None, "a"),
+            (0, 1, None, "b"),
+            (10, 1, "b", None),
+            (10, 1, None, "c"),
+            (15, 0, "a", None),
+            (15, 0, None, "d"),
+            (20, 1, "c", None),
+            (20, 1, None, "b"),
+            (25, 0, "d", None),
+            (25, 0, None, "d"),
+            (27, 0, "d", None),
+            (27, 0, None, "a"),
+            (30, 1, "b", None),
+            (30, 1, None, "c"),
+            (40, 1, "c", None),
+            (40, 1, None, "b"),
+            (47, 0, "a", None),
+            (50, 1, "b", None),
+            (50, 1, None, "b"),
+            (55, 1, "b", None),
+            (55, 1, None, "c"),
+            (60, 1, "c", None),
+        ],
+        "log": [
+            (27, "d0"),
+            (40, "c0"),
+            (47, "a0"),
+            (55, "b0"),
+            (60, "c1"),
+        ],
+        "now": 60,
+    },
+    "kick_idle_core": {
+        "threads": [
+            ("n", 0, 320, 20, 2),
+            ("late", 200, 240, 40, 1),
+            ("later", 230, 270, 40, 1),
+        ],
+        "switches": [
+            (0, 0, None, "n"),
+            (0, 0, "n", None),
+            (200, 0, None, "late"),
+            (230, 1, None, "later"),
+            (240, 0, "late", None),
+            (270, 1, "later", None),
+            (300, 0, None, "n"),
+            (320, 0, "n", None),
+        ],
+        "log": [
+            (240, "late0"),
+            (270, "later0"),
+            (300, "nap-over"),
+            (320, "n0"),
+        ],
+        "now": 320,
+    },
+    "shutdown_after_idle": {
+        "threads": [
+            ("a", 0, 30, 30, 1),
+            ("x", 0, 5, 5, 1),
+        ],
+        "switches": [
+            (0, 0, None, "a"),
+            (0, 1, None, "x"),
+            (5, 1, "x", None),
+            (30, 0, "a", None),
+        ],
+        "log": [
+            (0, "SimulationError"),
+            (30, "a0"),
+        ],
+        "now": 500,
+        "errors": [(5, "x", "ValueError")],
+        "pending": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED_SCHEDULES))
+def test_pinned_schedule(scenario):
+    assert globals()[f"scenario_{scenario}"]() == PINNED_SCHEDULES[scenario]

@@ -133,3 +133,30 @@ def test_events_executed_counter():
         k.schedule(i, lambda: None)
     k.run()
     assert k.events_executed == 7
+
+
+def test_nothing_due_now_sees_both_queues():
+    k = Kernel()
+    seen = []
+
+    def probe(tag):
+        seen.append((tag, k.now, k.nothing_due_now()))
+
+    def queue_soon_then_probe():
+        k.call_soon(lambda: None)
+        probe("soon-queued")
+
+    k.schedule(10, probe, "alone")
+    k.schedule(20, probe, "first-of-two")
+    k.schedule(20, lambda: None)
+    k.schedule(30, queue_soon_then_probe)
+    k.schedule(40, probe, "later-entry-only")
+    k.schedule(41, lambda: None)
+    k.run()
+    assert seen == [
+        ("alone", 10, True),
+        ("first-of-two", 20, False),
+        ("soon-queued", 30, False),
+        ("later-entry-only", 40, True),
+    ]
+    assert k.nothing_due_now()
