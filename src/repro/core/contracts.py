@@ -34,7 +34,9 @@ Checks:
     Message rate per telemetry window.  ``max`` is checked on every
     closed window; ``min`` only on *interior* windows (after the
     interface's first message, excluding the final partial window), so
-    warm-up and drain don't false-positive.
+    warm-up and drain don't false-positive.  Silent windows, which no
+    operation reached and the registry therefore never opened, are
+    interior windows with zero messages: ``min`` counts each of them.
 """
 
 from __future__ import annotations
@@ -108,14 +110,16 @@ class InterfaceContract:
 
 
 class ContractChecker:
-    """Validates one component's telemetry stream against its interface
-    contracts.  Driven by :class:`repro.metrics.telemetry.ComponentTelemetry`
-    (per-message hooks) and the registry's window-roll hook (rates)."""
+    """Validates one component's middleware stream against its interface
+    contracts.  Driven live by the component's
+    :class:`~repro.core.observation.ObservationProbe` (per-message
+    hooks, called as each operation is recorded, never deferred to the
+    probe's fold) and by the registry's window-roll hook (rates)."""
 
     __slots__ = (
         "component", "receive_contracts", "send_contracts",
         "_registry", "_tracer", "_counters", "violations",
-        "_last_seq", "_window_counts", "_first_window",
+        "_last_seq", "_window_counts", "_first_window", "_last_window",
     )
 
     def __init__(
@@ -140,6 +144,8 @@ class ContractChecker:
         self._window_counts: Dict[str, int] = {}
         #: iface -> window index of the interface's first message.
         self._first_window: Dict[str, int] = {}
+        #: Index of the last window the registry closed.
+        self._last_window: Optional[int] = None
 
     # -- per-message clauses ---------------------------------------------------
 
@@ -186,9 +192,12 @@ class ContractChecker:
 
     def on_window(self, index: int, start_ns: int, end_ns: int, final: bool) -> None:
         """Registry roll hook: evaluate rate clauses over the closing
-        window.  Runs before the window's deltas are cut, so rate
-        violations land in the window they judge."""
+        window and the silent windows before it.  Runs before the
+        window's deltas are cut, so rate violations land in the window
+        they judge."""
         window_s = (end_ns - start_ns) / 1e9
+        prev = self._last_window
+        self._last_window = index
         for iface, contract in self._rate_contracts():
             n = self._window_counts.pop(iface, 0)
             first = self._first_window.get(iface)
@@ -201,11 +210,22 @@ class ContractChecker:
                     limit_hz=max_rate, bound="max",
                 )
             min_rate = contract.min_rate_hz
+            if min_rate is None:
+                continue
+            # The registry skips the windows between the previous close
+            # and this one: nothing reached them, so each held zero
+            # messages.  Counted, not looped -- a native-runtime gap can
+            # span millions of windows.
+            silent = index - max(prev, first) - 1 if prev is not None else 0
+            if silent > 0:
+                self._violate(
+                    iface, RATE, silent, messages=0, windows=silent,
+                    window_index=index - silent, limit_hz=min_rate, bound="min",
+                )
             # Interior windows only: the first window starts mid-stream
             # and the final one ends mid-stream.
             if (
-                min_rate is not None
-                and not final
+                not final
                 and index > first
                 and n < min_rate * window_s
             ):
@@ -224,7 +244,9 @@ class ContractChecker:
 
     # -- violation sink --------------------------------------------------------
 
-    def _violate(self, iface: str, kind: str, **details: Any) -> None:
+    def _violate(self, iface: str, kind: str, n: int = 1, **details: Any) -> None:
+        """Count ``n`` violations of one kind; one trace event carries
+        them all."""
         key = (iface, kind)
         counter = self._counters.get(key)
         if counter is None:
@@ -232,8 +254,8 @@ class ContractChecker:
                 "contract_violations_total",
                 component=self.component, iface=iface, kind=kind,
             )
-        counter.inc()
-        self.violations[key] = self.violations.get(key, 0) + 1
+        counter.inc(n)
+        self.violations[key] = self.violations.get(key, 0) + n
         if self._tracer is not None:
             self._tracer.emit("contract", "violation", INSTANT,
                               iface=iface, kind=kind, **details)

@@ -20,7 +20,8 @@ application communication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.core.errors import ObservationError
@@ -36,9 +37,10 @@ APPLICATION_LEVEL = "application"
 
 LEVELS = (OS_LEVEL, MIDDLEWARE_LEVEL, APPLICATION_LEVEL)
 
-#: Deferred-sample opcodes (first tuple element in the probe's buffer).
+#: Opcodes of the probe's per-operation buffer (first tuple element).
 _SEND = 0
 _RECV = 1
+_DEPOSIT = 2
 
 
 @dataclass(frozen=True)
@@ -64,39 +66,72 @@ class ObservationReply:
     reply_tag: str = ""
 
 
+class _Folded:
+    """A probe field the buffer fold keeps current: reading it folds the
+    pending samples first, so the deferral is invisible to consumers."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.attr = "_" + name
+
+    def __get__(self, probe, owner=None):
+        if probe is None:
+            return self
+        probe._drain_samples()
+        return getattr(probe, self.attr)
+
+
 class ObservationProbe:
     """Per-component accumulator fed by context interposition.
 
     ``policy`` (an :class:`~repro.core.obspolicy.ObservationPolicy`)
     selects what is recorded and which levels the observation service
     answers; ``None`` means everything.
+
+    Each middleware operation is recorded once: ``record_*`` append one
+    ``(op, iface, duration_ns, latency_ns, size_bytes)`` tuple to
+    ``_mw_samples`` (``size_bytes`` is -1 for non-data messages,
+    ``latency_ns`` -1 when unknown) -- the tuple-buffer trick
+    :meth:`~repro.trace.tracer.Tracer.emit` uses.  Appending to a list is
+    atomic under the GIL, so native-runtime threads share the probe
+    without a lock.  Only what must happen per operation stays on that
+    path: the telemetry clock (it fixes the window a sample lands in) and
+    the live contract checks.  Everything else -- the Table-2 counters,
+    byte totals, the middleware timers with ``sample_every`` replayed in
+    operation order, and the telemetry histograms and counters -- is
+    derived by one fold, :meth:`_drain_samples`, run on a report or
+    field read and from the telemetry window roll.
     """
+
+    send_timer = _Folded()
+    recv_timer = _Folded()
+    #: End-to-end message latency (sender timestamp -> delivery).  On
+    #: OS21 the sender/receiver clocks are *local* per CPU, so this
+    #: inherits their skew -- faithfully to the platform (sec. 5.2).
+    latency_timer = _Folded()
+    send_timers_by_iface = _Folded()
+    recv_timers_by_iface = _Folded()
+    data_sends = _Folded()
+    data_receives = _Folded()
+    deposits = _Folded()
+    bytes_sent = _Folded()
+    bytes_received = _Folded()
 
     def __init__(self, component: "Component", policy=None) -> None:
         self.component = component
         self.policy = policy
         self._op_index = 0
-        #: Deferred middleware samples -- the tuple-buffer trick
-        #: :meth:`~repro.trace.tracer.Tracer.emit` uses.  The hot path
-        #: appends one plain tuple (``(_SEND, iface, dur)`` or
-        #: ``(_RECV, iface, dur, latency)``); timers and per-interface
-        #: dict inserts are folded lazily at report time.  Appending to a
-        #: list is atomic under the GIL, so native-runtime threads share
-        #: the probe without a lock.
         self._mw_samples: list = []
+        self._fold_lock = threading.Lock()
         self._send_timer = Timer(f"{component.name}.send")
         self._recv_timer = Timer(f"{component.name}.receive")
-        #: End-to-end message latency (sender timestamp -> delivery).
-        #: On OS21 the sender/receiver clocks are *local* per CPU, so this
-        #: inherits their skew -- faithfully to the platform (sec. 5.2).
         self._latency_timer = Timer(f"{component.name}.latency")
         self._send_timers_by_iface: Dict[str, Timer] = {}
         self._recv_timers_by_iface: Dict[str, Timer] = {}
-        self.data_sends = Counter(f"{component.name}.sends")
-        self.data_receives = Counter(f"{component.name}.receives")
-        self.deposits = Counter(f"{component.name}.deposits")
-        self.bytes_sent = 0
-        self.bytes_received = 0
+        self._data_sends = Counter(f"{component.name}.sends")
+        self._data_receives = Counter(f"{component.name}.receives")
+        self._deposits = Counter(f"{component.name}.deposits")
+        self._bytes_sent = 0
+        self._bytes_received = 0
         self.started_at_us: Optional[int] = None
         self.ended_at_us: Optional[int] = None
         # Heap tracking (memory-evolution extension, paper section 6).
@@ -128,101 +163,92 @@ class ObservationProbe:
         #: histograms are cheap enough to afford it.
         self.telemetry = None
 
-    # -- deferred-sample folding ----------------------------------------------
+    # -- the fold ---------------------------------------------------------------
 
-    def _drain_samples(self) -> None:
-        """Fold buffered middleware samples into the timers.
+    def _drain_samples(self, *_roll) -> None:
+        """Fold the buffered operations into every derived field.
 
-        Snapshot-then-delete (``buf[:n]`` / ``del buf[:n]``) so samples a
-        concurrent native-runtime thread appends mid-drain survive for
-        the next drain instead of being lost.
+        Also the telemetry roll hook (``*_roll`` takes its window
+        arguments): a crossing window folds what it holds before its
+        deltas are cut.  Snapshot-then-delete (``buf[:n]`` /
+        ``del buf[:n]``) so samples a concurrent native-runtime thread
+        appends mid-fold survive for the next fold.  The lock serialises
+        folders (a roll on another component's thread, a report read),
+        so none takes another's snapshot and ``sample_every`` replays
+        one operation order.
         """
-        buf = self._mw_samples
-        n = len(buf)
-        if not n:
-            return
-        chunk = buf[:n]
-        del buf[:n]
-        send_timer = self._send_timer
-        recv_timer = self._recv_timer
-        by_send = self._send_timers_by_iface
-        by_recv = self._recv_timers_by_iface
-        for sample in chunk:
-            iface, dur = sample[1], sample[2]
-            if sample[0] == _SEND:
-                send_timer.record(dur)
-                timer = by_send.get(iface)
-                if timer is None:
-                    timer = by_send[iface] = Timer(iface)
-                timer.record(dur)
+        with self._fold_lock:
+            buf = self._mw_samples
+            n = len(buf)
+            if not n:
+                return
+            chunk = buf[:n]
+            del buf[:n]
+            policy = self.policy
+            if policy is None:
+                every, track_bytes = 1, True
             else:
-                recv_timer.record(dur)
-                timer = by_recv.get(iface)
-                if timer is None:
-                    timer = by_recv[iface] = Timer(iface)
-                timer.record(dur)
-                if sample[3] >= 0:
-                    self._latency_timer.record(sample[3])
-
-    # The timers stay part of the public surface; reading one folds the
-    # pending samples first, so deferral is invisible to consumers.
-
-    @property
-    def send_timer(self) -> Timer:
-        self._drain_samples()
-        return self._send_timer
-
-    @property
-    def recv_timer(self) -> Timer:
-        self._drain_samples()
-        return self._recv_timer
-
-    @property
-    def latency_timer(self) -> Timer:
-        self._drain_samples()
-        return self._latency_timer
-
-    @property
-    def send_timers_by_iface(self) -> Dict[str, Timer]:
-        self._drain_samples()
-        return self._send_timers_by_iface
-
-    @property
-    def recv_timers_by_iface(self) -> Dict[str, Timer]:
-        self._drain_samples()
-        return self._recv_timers_by_iface
+                every = policy.sample_every if policy.time_middleware else 0
+                track_bytes = policy.track_bytes
+            op_index = self._op_index
+            send_timer = self._send_timer
+            recv_timer = self._recv_timer
+            latency_timer = self._latency_timer
+            by_send = self._send_timers_by_iface
+            by_recv = self._recv_timers_by_iface
+            tel = self.telemetry
+            groups = ({}, {}) if tel is not None else None
+            messages = [0, 0]  # data messages by op (_SEND, _RECV)
+            nbytes = [0, 0]
+            deposits = 0
+            for sample in chunk:
+                op, iface, dur, lat, size = sample
+                if op == _DEPOSIT:
+                    if size >= 0:
+                        deposits += 1
+                    continue
+                if every:
+                    op_index += 1
+                    if op_index % every == 0:
+                        if op == _SEND:
+                            total, by_iface = send_timer, by_send
+                        else:
+                            total, by_iface = recv_timer, by_recv
+                            if lat >= 0:
+                                latency_timer.record(lat)
+                        total.record(dur)
+                        timer = by_iface.get(iface)
+                        if timer is None:
+                            timer = by_iface[iface] = Timer(iface)
+                        timer.record(dur)
+                if size >= 0:
+                    messages[op] += 1
+                    nbytes[op] += size
+                if groups is not None:
+                    by_iface = groups[op]
+                    group = by_iface.get(iface)
+                    if group is None:
+                        group = by_iface[iface] = []
+                    group.append(sample)
+            self._op_index = op_index
+            self._data_sends.value += messages[_SEND]
+            self._data_receives.value += messages[_RECV]
+            self._deposits.value += deposits
+            if track_bytes:
+                self._bytes_sent += nbytes[_SEND]
+                self._bytes_received += nbytes[_RECV]
+            if groups is not None:
+                tel.fold(groups[_SEND], groups[_RECV])
 
     # -- recording (called from ComponentContext) ----------------------------
 
-    def _should_time(self) -> bool:
-        policy = self.policy
-        if policy is None:
-            return True
-        if not policy.time_middleware:
-            return False
-        self._op_index += 1
-        return self._op_index % policy.sample_every == 0
-
-    def _track_bytes(self) -> bool:
-        return self.policy is None or self.policy.track_bytes
-
     def record_send(self, iface: str, message: Message, duration_ns: int) -> None:
-        """Account one send operation (kind-aware; see class doc).
-
-        Hot path: one tuple append, no timer math, no dict insert --
-        those are deferred to :meth:`_drain_samples` at report time.
-        """
-        if message.kind == OBSERVATION:
+        """Account one send operation (kind-aware; see class doc)."""
+        kind = message.kind
+        if kind == OBSERVATION:
             return  # observation traffic must not observe itself
-        if self._should_time():
-            self._mw_samples.append((_SEND, iface, duration_ns))
         tel = self.telemetry
         if tel is not None:
-            # ComponentTelemetry.on_send, inlined: the telemetry plane
-            # is always-on, and a per-event call into another module's
-            # cold code measurably breaks the 1.05x overhead budget of
-            # ``bench metrics_overhead`` (the samples appended here are
-            # folded in batch at window rolls, see ComponentTelemetry).
             reg = tel.registry
             sent = message.sent_at_us
             ts = sent * 1_000 if sent is not None else reg.last_ns
@@ -230,63 +256,48 @@ class ObservationProbe:
                 reg.last_ns = ts
             if ts >= reg._next_roll_ns:
                 reg.advance(ts)
-            entry = tel._send_cache.get(iface)
-            if entry is None:
-                entry = tel._make_send(iface)
-            if message.kind == DATA:
-                entry[3].append((duration_ns, message.size_bytes))
-                if tel.checker is not None:
-                    tel.checker.on_send(iface, message, ts)
-            else:
-                entry[3].append((duration_ns, -1))
-        if message.kind == DATA:
-            self.data_sends.inc()
-            if self._track_bytes():
-                self.bytes_sent += message.size_bytes
+            if kind == DATA and tel.checker is not None:
+                tel.checker.on_send(iface, message, ts)
+        self._mw_samples.append(
+            (_SEND, iface, duration_ns, -1, message.size_bytes if kind == DATA else -1)
+        )
 
     def record_deposit(self, iface: str, message: Message, duration_ns: int) -> None:
         """A deposit into the component's own provided interface: tracked,
         but deliberately outside the send counters (see Table 2)."""
-        if message.kind == OBSERVATION:
+        kind = message.kind
+        if kind == OBSERVATION:
             return
-        if message.kind == DATA:
-            self.deposits.inc()
+        self._mw_samples.append(
+            (_DEPOSIT, iface, duration_ns, -1, message.size_bytes if kind == DATA else -1)
+        )
 
     def record_receive(
         self, iface: str, message: Message, duration_ns: int, now_us: Optional[int] = None
     ) -> None:
         """Account one receive operation (kind-aware)."""
-        if message.kind == OBSERVATION:
+        kind = message.kind
+        if kind == OBSERVATION:
             return
-        if now_us is not None and message.sent_at_us is not None:
+        sent = message.sent_at_us
+        if now_us is not None and sent is not None:
             # Clamp at zero: cross-CPU local clocks may run ahead.
-            latency_ns = max(0, (now_us - message.sent_at_us)) * 1_000
+            latency_ns = max(0, (now_us - sent)) * 1_000
         else:
             latency_ns = -1
-        if self._should_time():
-            self._mw_samples.append((_RECV, iface, duration_ns, latency_ns))
         tel = self.telemetry
         if tel is not None:
-            # ComponentTelemetry.on_receive, inlined (see record_send).
             reg = tel.registry
             ts = now_us * 1_000 if now_us is not None else reg.last_ns
             if ts > reg.last_ns:
                 reg.last_ns = ts
             if ts >= reg._next_roll_ns:
                 reg.advance(ts)
-            entry = tel._recv_cache.get(iface)
-            if entry is None:
-                entry = tel._make_recv(iface)
-            if message.kind == DATA:
-                entry[4].append((duration_ns, latency_ns, message.size_bytes))
-                if tel.checker is not None:
-                    tel.checker.on_receive(iface, message, latency_ns, ts)
-            else:
-                entry[4].append((duration_ns, -1, -1))
-        if message.kind == DATA:
-            self.data_receives.inc()
-            if self._track_bytes():
-                self.bytes_received += message.size_bytes
+            if kind == DATA and tel.checker is not None:
+                tel.checker.on_receive(iface, message, latency_ns, ts)
+        self._mw_samples.append(
+            (_RECV, iface, duration_ns, latency_ns, message.size_bytes if kind == DATA else -1)
+        )
 
     def record_alloc(self, nbytes: int, time_us: int) -> None:
         """Account a heap allocation (memory-evolution timeline)."""

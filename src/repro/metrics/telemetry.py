@@ -17,10 +17,10 @@ giving up the "no per-sample storage" constraint of an embedded target:
   by ``(ts, shard, seq)``.  Window ids draw from shard ranges
   (:func:`repro.sim.shard.shard_window_source`) so merged series never
   collide, mirroring span ids.
-- :class:`ComponentTelemetry` -- the per-component adapter fed by the
-  :class:`~repro.core.observation.ObservationProbe` hot-path hooks; it
-  also drives the component's contract checker
-  (:mod:`repro.core.contracts`) from the same stream.
+- :class:`ComponentTelemetry` -- one component's instruments plus its
+  contract checker (:mod:`repro.core.contracts`).  The
+  :class:`~repro.core.observation.ObservationProbe` records each
+  middleware operation once; its buffer fold feeds these instruments.
 - :func:`enable_telemetry` / :func:`collect_telemetry` -- the runtime
   wiring, shaped exactly like ``enable_tracing`` / ``merge_buffers``:
   call after ``deploy()`` (and after ``enable_tracing`` when you want
@@ -94,24 +94,35 @@ class Log2Histogram:
 
     def observe(self, value: int) -> None:
         """Record one sample (negative samples clamp to 0)."""
-        if value < 0:
-            value = 0
-        b = value.bit_length()
-        if b >= N_BUCKETS:
-            b = N_BUCKETS - 1
-        self.counts[b] += 1
-        self.count += 1
-        self.total += value
-        dc = self.delta_counts
-        dc[b] = dc.get(b, 0) + 1
-        self.delta_count += 1
-        self.delta_total += value
-        mn = self.min_value
-        if mn is None or value < mn:
-            self.min_value = value
-        mx = self.max_value
-        if mx is None or value > mx:
-            self.max_value = value
+        self.observe_many((value,))
+
+    def observe_many(self, values: Iterable[int]) -> None:
+        """Record a batch of samples, with the instrument state bound to
+        locals once per batch (the fold path)."""
+        counts = self.counts
+        deltas = self.delta_counts
+        n = tot = 0
+        mn, mx = self.min_value, self.max_value
+        for v in values:
+            if v < 0:
+                v = 0
+            b = v.bit_length()
+            if b >= N_BUCKETS:
+                b = N_BUCKETS - 1
+            counts[b] += 1
+            deltas[b] = deltas.get(b, 0) + 1
+            n += 1
+            tot += v
+            if mn is None or v < mn:
+                mn = v
+            if mx is None or v > mx:
+                mx = v
+        self.count += n
+        self.total += tot
+        self.delta_count += n
+        self.delta_total += tot
+        self.min_value = mn
+        self.max_value = mx
 
     def take_delta(self) -> Optional[Dict[str, Any]]:
         """The window delta accumulated since the last cut (cleared), as
@@ -356,7 +367,10 @@ class MetricsRegistry:
     def add_roll_hook(self, hook: Callable[[int, int, int, bool], None]) -> None:
         """Register ``hook(index, start_ns, end_ns, final)`` called as a
         window closes, *before* its deltas are cut -- counters the hook
-        bumps (e.g. contract violations) land in the closing window."""
+        bumps (e.g. contract violations) land in the closing window.
+        Windows no sample reached are never opened, so never closed: a
+        hook that judges every window counts the gap between the indices
+        of consecutive closes."""
         self._roll_hooks.append(hook)
 
     def advance(self, now_ns: int) -> None:
@@ -522,26 +536,21 @@ def merge_registries(parts: List[MetricsRegistry]) -> MetricsRegistry:
 
 
 class ComponentTelemetry:
-    """Per-component adapter between the observation probe's hot-path
-    hooks and a shared :class:`MetricsRegistry` (plus the component's
-    contract checker, when any interface carries a contract).
+    """One component's instruments on a shared :class:`MetricsRegistry`,
+    plus its contract checker when any interface carries a contract.
 
-    The per-message hot path follows the probe's own deferral idiom
-    (see :meth:`ObservationProbe.record_send`): it only moves the
-    registry clock (two compares) and appends one pending tuple to the
-    interface's cache entry; the histogram/counter folds run batched in
-    :meth:`_drain` -- as a roll hook when a window closes (before its
-    deltas are cut, so every sample lands in the window it was observed
-    in) and before any read.  The fold binds each instrument's state to
-    locals once per interface, so per-sample cost is pure int math:
-    scattered per-event instrument updates measured ~2x slower against
-    the 1.05x budget of ``bench metrics_overhead``.  Contract checks
-    stay per-event: violations are *live* by design.
+    The middleware stream arrives already recorded: the component's
+    :class:`~repro.core.observation.ObservationProbe` keeps the one
+    per-operation buffer, moves the registry clock and calls
+    :attr:`checker` live, and its fold hands the buffered operations
+    here, grouped by interface, through :meth:`fold`.  The probe runs
+    that fold as a roll hook, so every sample lands in the window it
+    was observed in.
     """
 
     __slots__ = (
         "registry", "component", "checker",
-        "_send_cache", "_recv_cache",
+        "_sends", "_receives",
         "_restarts", "_restart_hist", "_replays", "_dedups",
         "_checkpoints", "_checkpoint_bytes", "_faults",
     )
@@ -550,17 +559,10 @@ class ComponentTelemetry:
         self.registry = registry
         self.component = component
         self.checker = checker
-        # iface -> [duration hist, msg counter, byte counter, pending]
-        # (receive adds a latency histogram before pending).  Pending
-        # send samples are (duration_ns, size_bytes), receive samples
-        # (duration_ns, latency_ns, size_bytes); size_bytes == -1 marks
-        # control messages (duration-only, no counters, no latency).
-        self._send_cache: Dict[str, list] = {}
-        self._recv_cache: Dict[str, list] = {}
-        # Drain before each window cut.  Registered here, so it runs
-        # before any contract checker's on_window (attached after
-        # construction): rate checks see fully folded counters.
-        registry.add_roll_hook(self._on_roll)
+        #: iface -> (duration hist, message counter, byte counter); the
+        #: receive side adds a delivery-latency histogram.
+        self._sends: Dict[str, tuple] = {}
+        self._receives: Dict[str, tuple] = {}
         self._restarts = registry.counter("restarts_total", component=component)
         self._restart_hist = registry.histogram("restart_downtime_ns", component=component)
         self._replays = registry.counter("replays_total", component=component)
@@ -569,160 +571,45 @@ class ComponentTelemetry:
         self._checkpoint_bytes = registry.counter("checkpoint_bytes_total", component=component)
         self._faults: Dict[str, Counter] = {}
 
-    def _make_send(self, iface: str) -> list:
+    # -- middleware stream (the probe's fold) ----------------------------------
+
+    def fold(self, sends: Dict[str, list], receives: Dict[str, list]) -> None:
+        """Fold probe operations, grouped by interface, into the
+        instruments.  Each operation is the probe's buffer tuple
+        ``(op, iface, duration_ns, latency_ns, size_bytes)``;
+        ``size_bytes == -1`` marks a control message, which feeds the
+        duration histogram only."""
         reg, c = self.registry, self.component
-        entry = self._send_cache[iface] = [
-            reg.histogram("send_duration_ns", component=c, iface=iface),
-            reg.counter("messages_sent_total", component=c, iface=iface),
-            reg.counter("bytes_sent_total", component=c, iface=iface),
-            [],
-        ]
-        return entry
-
-    def _make_recv(self, iface: str) -> list:
-        reg, c = self.registry, self.component
-        entry = self._recv_cache[iface] = [
-            reg.histogram("receive_duration_ns", component=c, iface=iface),
-            reg.counter("messages_received_total", component=c, iface=iface),
-            reg.counter("bytes_received_total", component=c, iface=iface),
-            reg.histogram("delivery_latency_ns", component=c, iface=iface),
-            [],
-        ]
-        return entry
-
-    # -- middleware stream (probe hot path) ----------------------------------
-
-    def on_send(self, iface: str, message, duration_ns: int) -> None:
-        """One send: clock, pending sample, live contract check."""
-        sent = message.sent_at_us
-        reg = self.registry
-        ts = sent * 1_000 if sent is not None else reg.last_ns
-        if ts > reg.last_ns:
-            reg.last_ns = ts
-        if ts >= reg._next_roll_ns:
-            # Crossing a window boundary drains the pending samples into
-            # the closing window *before* this one is appended.
-            reg.advance(ts)
-        entry = self._send_cache.get(iface)
-        if entry is None:
-            entry = self._make_send(iface)
-        if message.kind == "data":
-            entry[3].append((duration_ns, message.size_bytes))
-            if self.checker is not None:
-                self.checker.on_send(iface, message, ts)
-        else:
-            entry[3].append((duration_ns, -1))
-
-    def on_receive(self, iface: str, message, duration_ns: int,
-                   latency_ns: int, now_us: Optional[int]) -> None:
-        """One receive: clock, pending sample, live contract checks
-        (deadline, ordering)."""
-        reg = self.registry
-        ts = now_us * 1_000 if now_us is not None else reg.last_ns
-        if ts > reg.last_ns:
-            reg.last_ns = ts
-        if ts >= reg._next_roll_ns:
-            reg.advance(ts)
-        entry = self._recv_cache.get(iface)
-        if entry is None:
-            entry = self._make_recv(iface)
-        if message.kind == "data":
-            entry[4].append((duration_ns, latency_ns, message.size_bytes))
-            if self.checker is not None:
-                self.checker.on_receive(iface, message, latency_ns, ts)
-        else:
-            entry[4].append((duration_ns, -1, -1))
-
-    def _on_roll(self, index: int, start_ns: int, end_ns: int, final: bool) -> None:
-        self._drain()
-
-    @staticmethod
-    def _fold_duration(hist, samples: list) -> None:
-        """Fold (duration, ...) samples into one histogram, locals-bound."""
-        counts = hist.counts
-        deltas = hist.delta_counts
-        n = tot = 0
-        mn, mx = hist.min_value, hist.max_value
-        for sample in samples:
-            v = sample[0]
-            if v < 0:
-                v = 0
-            b = v.bit_length()
-            if b >= N_BUCKETS:
-                b = N_BUCKETS - 1
-            counts[b] += 1
-            deltas[b] = deltas.get(b, 0) + 1
-            n += 1
-            tot += v
-            if mn is None or v < mn:
-                mn = v
-            if mx is None or v > mx:
-                mx = v
-        hist.count += n
-        hist.total += tot
-        hist.delta_count += n
-        hist.delta_total += tot
-        hist.min_value = mn
-        hist.max_value = mx
-
-    def _drain(self) -> None:
-        """Fold pending samples into the instruments (batched)."""
-        for entry in self._send_cache.values():
-            samples = entry[3]
-            if not samples:
-                continue
-            entry[3] = []
-            self._fold_duration(entry[0], samples)
-            msgs = nbytes = 0
-            for _dur, size in samples:
-                if size >= 0:
-                    msgs += 1
-                    nbytes += size
-            if msgs:
-                entry[1].value += msgs
-                entry[2].value += nbytes
-        for entry in self._recv_cache.values():
-            samples = entry[4]
-            if not samples:
-                continue
-            entry[4] = []
-            self._fold_duration(entry[0], samples)
+        for iface, ops in sends.items():
+            inst = self._sends.get(iface)
+            if inst is None:
+                inst = self._sends[iface] = (
+                    reg.histogram("send_duration_ns", component=c, iface=iface),
+                    reg.counter("messages_sent_total", component=c, iface=iface),
+                    reg.counter("bytes_sent_total", component=c, iface=iface),
+                )
+            inst[0].observe_many([op[2] for op in ops])
+            sizes = [op[4] for op in ops if op[4] >= 0]
+            inst[1].value += len(sizes)
+            inst[2].value += sum(sizes)
+        for iface, ops in receives.items():
+            inst = self._receives.get(iface)
+            if inst is None:
+                inst = self._receives[iface] = (
+                    reg.histogram("receive_duration_ns", component=c, iface=iface),
+                    reg.counter("messages_received_total", component=c, iface=iface),
+                    reg.counter("bytes_received_total", component=c, iface=iface),
+                    reg.histogram("delivery_latency_ns", component=c, iface=iface),
+                )
+            inst[0].observe_many([op[2] for op in ops])
+            data = [op for op in ops if op[4] >= 0]
+            inst[1].value += len(data)
+            inst[2].value += sum(op[4] for op in data)
             # Delivery latency is a *data* metric: control messages
             # (e.g. end-of-stream markers) queue behind the whole
             # stream and would dominate the tail with meaningless
             # outliers.
-            lat_hist = entry[3]
-            counts = lat_hist.counts
-            deltas = lat_hist.delta_counts
-            n = tot = 0
-            mn, mx = lat_hist.min_value, lat_hist.max_value
-            msgs = nbytes = 0
-            for _dur, lat, size in samples:
-                if size >= 0:
-                    msgs += 1
-                    nbytes += size
-                    if lat >= 0:
-                        b = lat.bit_length()
-                        if b >= N_BUCKETS:
-                            b = N_BUCKETS - 1
-                        counts[b] += 1
-                        deltas[b] = deltas.get(b, 0) + 1
-                        n += 1
-                        tot += lat
-                        if mn is None or lat < mn:
-                            mn = lat
-                        if mx is None or lat > mx:
-                            mx = lat
-            if n:
-                lat_hist.count += n
-                lat_hist.total += tot
-                lat_hist.delta_count += n
-                lat_hist.delta_total += tot
-                lat_hist.min_value = mn
-                lat_hist.max_value = mx
-            if msgs:
-                entry[1].value += msgs
-                entry[2].value += nbytes
+            inst[3].observe_many([op[3] for op in data if op[3] >= 0])
 
     # -- robustness stream (supervisor / recovery / injector hooks) -----------
 
@@ -776,21 +663,21 @@ class ComponentTelemetry:
     # -- observer surface ------------------------------------------------------
 
     def interface_summary(self) -> Dict[str, Any]:
-        """Per-interface percentile summary for the middleware report."""
-        self._drain()
+        """Per-interface percentile summary for the middleware report
+        (the probe folds its buffer before asking)."""
 
-        def quantile_view(entry_index: int, cache: Dict[str, tuple]) -> Dict[str, Any]:
+        def quantile_view(entry_index: int, instruments: Dict[str, tuple]) -> Dict[str, Any]:
             out = {}
-            for iface, entry in sorted(cache.items()):
-                hist = entry[entry_index]
+            for iface, inst in sorted(instruments.items()):
+                hist = inst[entry_index]
                 if hist.count:
                     out[iface] = {"count": hist.count, **hist.quantiles()}
             return out
 
         return {
-            "send_duration_ns": quantile_view(0, self._send_cache),
-            "receive_duration_ns": quantile_view(0, self._recv_cache),
-            "delivery_latency_ns": quantile_view(3, self._recv_cache),
+            "send_duration_ns": quantile_view(0, self._sends),
+            "receive_duration_ns": quantile_view(0, self._receives),
+            "delivery_latency_ns": quantile_view(3, self._receives),
         }
 
     def contract_summary(self) -> Dict[str, Any]:
@@ -860,10 +747,13 @@ def enable_telemetry(runtime, window_ns: int = DEFAULT_WINDOW_NS):
         if policy is not None and not getattr(policy, "telemetry", True):
             continue
         reg = registries[cont.extra["shard"]] if registries is not None else single
-        # Construct before attaching the checker: the telemetry's drain
-        # hook must register ahead of the checker's on_window, so rate
-        # checks run against fully folded counters.
+        # Fold whatever the probe buffered before telemetry existed, then
+        # register its fold ahead of the checker's on_window, so a
+        # closing window holds every sample observed in it before rate
+        # checks and the delta cut read it.
+        probe._drain_samples()
         tel = ComponentTelemetry(reg, cont.component.name)
+        reg.add_roll_hook(probe._drain_samples)
         tel.checker = _attach_checker(cont, reg)
         probe.telemetry = tel
     runtime.metrics = registries if registries is not None else single

@@ -182,6 +182,29 @@ def test_min_rate_silent_before_any_traffic():
     assert checker.violations == {}
 
 
+def test_min_rate_judges_silent_windows_the_registry_skips():
+    # One message per 1 ms window meets a 1 kHz floor; windows 4-9 see no
+    # operation at all, so the registry never opens them.  Each is still
+    # an interior window with zero messages.
+    tracer = _SpyTracer()
+    checker, reg = _checker(
+        InterfaceContract(min_rate_hz=1_000.0), tracer=tracer, window_ns=1_000_000
+    )
+    reg.add_roll_hook(checker.on_window)
+    for seq, window in enumerate([0, 1, 2, 3, 10, 11, 12]):
+        ts = window * 1_000_000 + 500
+        reg.advance(ts)
+        checker.on_receive("in", _msg(seq=seq), latency_ns=0, ts_ns=ts)
+    reg.finish()
+    assert checker.violations == {("in", RATE): 6}
+    assert reg.counter(
+        "contract_violations_total", component="cons", iface="in", kind=RATE
+    ).value == 6
+    # The gap is counted, not walked: one trace event covers it.
+    [(_, _, _, args)] = tracer.events
+    assert (args["windows"], args["window_index"], args["bound"]) == (6, 4, "min")
+
+
 def test_send_side_rate_contract():
     checker, _ = _checker(
         InterfaceContract(max_rate_hz=1_000.0), window_ns=1_000_000, side="send"

@@ -1,5 +1,8 @@
 """Unit tests for probes, observation requests and introspection."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import (
@@ -14,6 +17,7 @@ from repro.core import (
 )
 from repro.core.errors import ObservationError
 from repro.core.messages import CONTROL, DATA, OBSERVATION
+from repro.core.obspolicy import ObservationPolicy
 
 
 def make_probe():
@@ -102,6 +106,45 @@ def test_deferred_samples_survive_interleaved_reads():
     assert probe.send_timer.count == 3
     assert probe.send_timer.total_ns == 900
     assert probe.send_timers_by_iface["out"].count == 3
+
+
+def test_concurrent_folds_lose_and_double_count_nothing():
+    """Native-runtime threads record while others fold (a report read,
+    a telemetry roll on another component's thread): every operation is
+    folded exactly once, and sampling replays one operation order."""
+    c, _ = make_probe()
+    probe = ObservationProbe(c, policy=ObservationPolicy.sampled(2))
+    msg = data_msg(64)
+    n_writers, n_readers, per_writer = 4, 4, 10_000
+    stop = threading.Event()
+
+    def write():
+        for _ in range(per_writer):
+            probe.record_send("out", msg, 1)
+
+    def read():
+        while not stop.is_set():
+            probe.data_sends
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=read) for _ in range(n_readers)]
+        writers = [threading.Thread(target=write) for _ in range(n_writers)]
+        for t in readers + writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        stop.set()
+        for t in readers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in readers + writers)
+    total = n_writers * per_writer
+    assert probe.data_sends.value == total
+    assert probe.send_timer.count == total // 2
+    assert probe.bytes_sent == total * msg.size_bytes
 
 
 def test_middleware_report_shape():
