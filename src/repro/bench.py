@@ -581,7 +581,8 @@ def bench_kernel(quick: bool = False) -> Dict:
     t_probe = _best(run_probe, reps)
 
     # Always-on telemetry overhead (the live metrics plane): the full
-    # MJPEG SMP decode with and without `enable_telemetry`, timed as
+    # MJPEG SMP decode and one `collect()` (so both arms pay the probe
+    # fold) with and without `enable_telemetry`, timed as
     # interleaved pairs on CPU time with the GC parked during the timed
     # section.  Wall clock and a fixed arm order both measured noisier
     # than the effect being gated (scheduler preemption lands in one
@@ -615,6 +616,9 @@ def bench_kernel(quick: bool = False) -> Dict:
             t0 = time.process_time()
             rt.start()
             rt.wait()
+            # Both arms read the observation: the probe fold runs at
+            # every window roll with telemetry on, and here otherwise.
+            rt.collect()
             elapsed = time.process_time() - t0
         finally:
             gc.enable()

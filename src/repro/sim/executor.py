@@ -12,19 +12,33 @@ This is the substrate shared by the Linux-like scheduler
 - :class:`YieldCpu` -- voluntarily relinquish the CPU.
 
 Cores are driven by plain kernel callbacks on :class:`ExecEngine`, not
-by processes.  ``_dispatch`` picks threads for an idle core and runs
-them until one starts computing; compute work then executes as an
-*interruptible slice*: exactly one kernel timer whose callback charges
-the thread for the time actually run and continues it.  A preemption
-cancels the timer and ends the slice early.  A compute slice therefore
-costs one kernel event, and the event count stays O(#scheduling
-decisions), not O(compute time / quantum), while priority preemption is
-still modelled exactly.
+by processes.  One loop, ``_dispatch``, carries a core: it picks READY
+threads and runs each until it blocks, sleeps, finishes, yields or
+starts computing.  Compute work executes as an *interruptible slice*
+that ends at ``now + min(remaining work, quantum left)``, where the
+thread is charged the time actually run and continued:
 
-A slice-end callback continues the thread inline only when nothing
-else is due at the current instant; otherwise it hops through
-``call_soon``, so every entry already queued at that instant runs
-first.  ``kick`` and ``preempt`` always hop once through ``call_soon``.
+- When no queued entry comes before the slice end and the running
+  ``Kernel.run()`` reaches it, the loop jumps the clock there
+  (``Kernel.advance_to``), charges the slice and goes on -- no timer,
+  no kernel event.  An armed timer would have been the very next entry
+  dispatched, and its callback would have continued inline (below), so
+  the order is the same.
+- Otherwise the slice arms one kernel timer.  Its callback continues the
+  thread inline when nothing else is due at that instant
+  (``Kernel.nothing_due_now``) and hops through ``call_soon`` otherwise,
+  so every entry already queued at that instant runs first.  A
+  preemption cancels the timer and ends the slice early.
+
+A wakeup (an event or a timeout resuming a blocked thread) is the tail
+of a kernel callback.  When nothing else is due at that instant, the
+dispatch of the idle core it wakes runs inline: the ``call_soon`` hop
+would have been the next event.  ``spawn``, ``shutdown`` and thread
+exit are not at the tail of a callback and always hop once through
+``call_soon``; so does ``preempt``.  Either way the event count stays
+O(#scheduling decisions that meet other queued work), not
+O(compute time / quantum), while priority preemption is still modelled
+exactly.
 
 Scheduling policy is pluggable (:class:`SchedPolicy`); the engine itself
 is policy-free.
@@ -193,11 +207,18 @@ class CpuCore:
         """Fraction of ``elapsed_ns`` this core spent running threads."""
         return self.busy_ns / elapsed_ns if elapsed_ns > 0 else 0.0
 
-    def kick(self) -> None:
-        """Wake the core if it is parked idle."""
+    def kick(self, inline: bool = False) -> None:
+        """Wake the core if it is parked idle: queue its dispatch through
+        one ``call_soon`` hop, so the caller finishes first.  ``inline``
+        runs the dispatch at once; only a caller that ends a kernel
+        callback with nothing else due now may ask for it, since the hop
+        would then be the very next event."""
         if self._parked:
             self._parked = False
-            self.engine.kernel.call_soon(self.engine._dispatch, self)
+            if inline:
+                self.engine._dispatch(self)
+            else:
+                self.engine.kernel.call_soon(self.engine._dispatch, self)
 
     def preempt(self) -> None:
         """Interrupt the current compute slice (no-op when not computing)."""
@@ -205,7 +226,9 @@ class CpuCore:
         if timer is not None:
             timer.cancel()
             self._slice_timer = None
-            self.engine.kernel.call_soon(self.engine._slice_done, self, True)
+            engine = self.engine
+            ran = engine.kernel.now - self._slice_start
+            engine.kernel.call_soon(engine._dispatch, self, ran, True)
 
     def __repr__(self) -> str:  # pragma: no cover
         running = self.current.name if self.current else "idle"
@@ -309,13 +332,15 @@ class ExecEngine:
 
     # -- internals -------------------------------------------------------------
 
-    def _make_ready(self, thread: SchedThread) -> None:
+    def _make_ready(self, thread: SchedThread, inline: bool = False) -> None:
+        """Queue ``thread`` and wake an idle core that can run it, or
+        consider preemption.  ``inline`` is passed on to ``kick``."""
         thread.state = READY
         self.policy.enqueue(self, thread)
         # Wake an idle core that can run it; otherwise consider preemption.
         for core in self.cores:
             if core.idle and thread.runnable_on(core):
-                core.kick()
+                core.kick(inline)
                 return
         for core in self.cores:
             running = core.current
@@ -344,32 +369,75 @@ class ExecEngine:
                     return
 
     def _wake(self, thread: SchedThread, value: Any) -> None:
+        # Always the whole of a kernel callback (a timeout, or an event
+        # waiter resumed through call_soon).
         if not thread.alive:
             return
         thread._send_value = value
-        self._make_ready(thread)
+        self._make_ready(thread, self.kernel.nothing_due_now())
 
-    def _dispatch(self, core: CpuCore) -> None:
-        """Run READY threads on the idle ``core`` until one starts a
-        compute slice; park the core when nothing is left to pick."""
+    def _dispatch(self, core: CpuCore, ran: Optional[int] = None, preempted: bool = False) -> None:
+        """Drive ``core`` until a compute slice arms a timer or the core
+        parks with nothing left to pick.
+
+        ``ran``: the core's thread has just run a compute slice of that
+        many ns (``preempted``: one cut short), to be charged before it
+        continues or is switched out.  Slices whose end nothing queued
+        precedes are jumped over and charged here too, so one loop, not
+        recursion, carries a core through any chain of slices, switches
+        and picks.
+        """
+        kernel = self.kernel
         policy = self.policy
+        thread = core.current
         while True:
-            thread = policy.pick(self, core)
+            if ran is not None:
+                core.busy_ns += ran
+                thread.cpu_time_ns += ran
+                left = thread._remaining_compute_ns - ran
+                thread._remaining_compute_ns = left if left > 0 else None
+                keep = not preempted
+                budget = core._budget
+                if keep and budget is not None:
+                    budget -= ran
+                    if left > 0 and budget <= 0:
+                        # Quantum spent: keep the CPU for another one
+                        # only when nobody is waiting.
+                        keep = not policy.has_ready(self, core)
+                        budget = core._quantum
+                    core._budget = budget
+                ran, preempted = None, False
+                if not keep:
+                    self._switch_out(core, thread, False)
+                    thread = None
             if thread is None:
-                core._parked = not (self._shutdown and self.alive_threads == 0)
-                return
-            core.current = thread
-            thread.core = core
-            thread.state = RUNNING
-            thread.context_switches += 1
-            if self.on_context_switch is not None:
-                self.on_context_switch(core, None, thread)
-            contended = policy.has_ready(self, core)
-            core._quantum = core._budget = policy.quantum_ns(thread, contended)
+                thread = policy.pick(self, core)
+                if thread is None:
+                    core._parked = not (self._shutdown and self.alive_threads == 0)
+                    return
+                core.current = thread
+                thread.core = core
+                thread.state = RUNNING
+                thread.context_switches += 1
+                if self.on_context_switch is not None:
+                    self.on_context_switch(core, None, thread)
+                contended = policy.has_ready(self, core)
+                core._quantum = core._budget = policy.quantum_ns(thread, contended)
             offcpu = self._run(core, thread)
             if offcpu is None:
+                # A compute slice: jump to its end when its timer would
+                # be the next entry dispatched, else arm the timer.
+                remaining = thread._remaining_compute_ns
+                budget = core._budget
+                ran = remaining if budget is None or remaining < budget else budget
+                start = kernel.now
+                if kernel.advance_to(start + ran):
+                    continue
+                core._slice_start = start
+                core._slice_timer = kernel.schedule(ran, self._slice_end, core)
                 return
             self._switch_out(core, thread, offcpu)
+            thread = None
 
     def _switch_out(self, core: CpuCore, thread: SchedThread, offcpu: bool) -> None:
         core.current = None
@@ -381,12 +449,11 @@ class ExecEngine:
             self.policy.enqueue(self, thread)
 
     def _run(self, core: CpuCore, thread: SchedThread) -> Optional[bool]:
-        """Advance ``thread`` until it starts a compute slice (returns
+        """Advance ``thread`` until it has compute work pending (returns
         None), leaves the CPU blocked, asleep or finished (True) or
         yields it (False)."""
         kernel = self.kernel
         body = thread.body
-        # Finish any partially executed compute first.
         while thread._remaining_compute_ns is None:
             try:
                 if thread._throw_exc is not None:
@@ -423,50 +490,17 @@ class ExecEngine:
                     f"thread {thread.name!r} yielded non-command {cmd!r}; "
                     "did you forget 'yield from'?"
                 )
-
-        # Execute (part of) the pending compute as an interruptible slice.
-        remaining = thread._remaining_compute_ns
-        budget = core._budget
-        core._slice_start = kernel.now
-        core._slice_timer = kernel.schedule(
-            remaining if budget is None else min(remaining, budget), self._slice_end, core
-        )
         return None
 
     def _slice_end(self, core: CpuCore) -> None:
         core._slice_timer = None
+        ran = self.kernel.now - core._slice_start
         if self.kernel.nothing_due_now():
-            self._slice_done(core, False)
+            self._dispatch(core, ran)
         else:
             # Entries already due now run first; the continuation
             # queues behind them.
-            self.kernel.call_soon(self._slice_done, core, False)
-
-    def _slice_done(self, core: CpuCore, preempted: bool) -> None:
-        """Charge the slice that just ended, then continue its thread or
-        switch it out (preempted, or quantum spent with others waiting)."""
-        thread = core.current
-        ran = self.kernel.now - core._slice_start
-        core.busy_ns += ran
-        thread.cpu_time_ns += ran
-        left = thread._remaining_compute_ns - ran
-        thread._remaining_compute_ns = left if left > 0 else None
-        keep = not preempted
-        if keep and core._budget is not None:
-            core._budget -= ran
-            if left > 0 and core._budget <= 0:
-                # Quantum spent: keep the CPU for another one only when
-                # nobody is waiting.
-                keep = not self.policy.has_ready(self, core)
-                core._budget = core._quantum
-        if keep:
-            offcpu = self._run(core, thread)
-            if offcpu is None:
-                return
-        else:
-            offcpu = False
-        self._switch_out(core, thread, offcpu)
-        self._dispatch(core)
+            self.kernel.call_soon(self._dispatch, core, ran)
 
     # Optional error hook (set by OS layers); default None re-raises.
     on_thread_error: Optional[Callable[[SchedThread, BaseException], None]] = None

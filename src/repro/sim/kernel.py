@@ -19,6 +19,12 @@ Design notes
   make up half the stored entries, both queues are filtered in place,
   which keeps memory within ``2 * pending() + _COMPACT_MIN`` entries
   under schedule-then-cancel churn (receive deadlines).
+- ``nothing_due_now`` and ``advance_to`` let a callback do inline the
+  work it would otherwise queue, when that entry would be the very next
+  one dispatched anyway: same-instant work when nothing else is due now
+  (``nothing_due_now``), and a later timer when no queued entry comes
+  first and ``run()`` would reach it (``advance_to``, a clock jump).
+  The dispatch order is the one the queued entry would have given.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ from repro.sim.errors import DeadlockError, SchedulingError
 #: Compact once at least this many cancelled entries linger *and* they
 #: make up half the stored entries.
 _COMPACT_MIN = 64
+
+#: ``run()`` horizon with no ``until``: every time is within it.
+_NO_HORIZON = float("inf")
 
 
 class EventHandle:
@@ -98,6 +107,9 @@ class Kernel:
         self.deadlock_check: bool = True
         self._alive: int = 0  # scheduled, not cancelled, not yet fired
         self._n_cancelled: int = 0  # cancelled entries still stored
+        #: Latest time ``advance_to`` may reach: the running ``run()``'s
+        #: ``until``; -1 (refuse) outside ``run()`` and under ``max_events``.
+        self._horizon: float = -1
 
     @property
     def now(self) -> int:
@@ -187,6 +199,29 @@ class Kernel:
         heap = self._heap
         return not self._imm and (not heap or heap[0][0] > self._now)
 
+    def advance_to(self, time_ns: int) -> bool:
+        """Jump the clock to ``time_ns`` (not before ``now``) from inside a
+        callback, when an entry queued there would be dispatched next.
+
+        Holds when nothing is queued at the current instant, every heap
+        entry lies strictly after ``time_ns`` and the running ``run()``
+        reaches ``time_ns`` (its ``until``).  The caller then does at
+        once, at ``time_ns``, what that entry's callback would have done,
+        and must return without further work.  Refuses (False) outside
+        ``run()`` and under ``max_events``, so ``step()`` and bounded runs
+        dispatch every event through the queue.  A jump is not an event:
+        ``events_executed`` does not count it."""
+        if self._imm or time_ns > self._horizon:
+            return False
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+            self._n_cancelled -= 1
+        if heap and heap[0][0] <= time_ns:
+            return False
+        self._now = time_ns
+        return True
+
     def idle_advance(self, time_ns: int) -> None:
         """Move the idle clock forward to ``time_ns`` without dispatching.
 
@@ -218,41 +253,49 @@ class Kernel:
         """
         if until is not None and until < self._now:
             raise SchedulingError(f"cannot run until the past: {until} < {self._now}")
+        outer = self._horizon
+        if max_events is not None:
+            self._horizon = -1
+        else:
+            self._horizon = _NO_HORIZON if until is None else until
         executed = 0
         heap = self._heap
         imm = self._imm
-        while max_events is None or executed < max_events:
-            # peek()'s pruning, inlined: one call frame less per event.
-            while imm and imm[0][2].cancelled:
-                imm.popleft()
-                self._n_cancelled -= 1
-            while heap and heap[0][2].cancelled:
-                heappop(heap)
-                self._n_cancelled -= 1
-            if imm:
-                entry = heap[0] if heap and heap[0] < imm[0] else imm[0]
-            elif heap:
-                entry = heap[0]
-            else:
-                if self.on_idle is not None and self.on_idle():
-                    continue  # the hook injected new work (mailbox drain)
-                if self._live_processes > 0 and self.deadlock_check:
-                    raise DeadlockError(
-                        f"no pending events but {self._live_processes} process(es) still alive"
-                    )
-                break
-            if until is not None and entry[0] > until:
-                self._now = until
-                break
-            if imm and imm[0] is entry:
-                imm.popleft()
-            else:
-                heappop(heap)
-            handle = entry[2]
-            self._now = entry[0]
-            self.events_executed += 1
-            self._alive -= 1
-            handle._kernel = None
-            handle.callback(*handle.args)
-            executed += 1
+        try:
+            while max_events is None or executed < max_events:
+                # peek()'s pruning, inlined: one call frame less per event.
+                while imm and imm[0][2].cancelled:
+                    imm.popleft()
+                    self._n_cancelled -= 1
+                while heap and heap[0][2].cancelled:
+                    heappop(heap)
+                    self._n_cancelled -= 1
+                if imm:
+                    entry = heap[0] if heap and heap[0] < imm[0] else imm[0]
+                elif heap:
+                    entry = heap[0]
+                else:
+                    if self.on_idle is not None and self.on_idle():
+                        continue  # the hook injected new work (mailbox drain)
+                    if self._live_processes > 0 and self.deadlock_check:
+                        raise DeadlockError(
+                            f"no pending events but {self._live_processes} process(es) still alive"
+                        )
+                    break
+                if until is not None and entry[0] > until:
+                    self._now = until
+                    break
+                if imm and imm[0] is entry:
+                    imm.popleft()
+                else:
+                    heappop(heap)
+                handle = entry[2]
+                self._now = entry[0]
+                self.events_executed += 1
+                self._alive -= 1
+                handle._kernel = None
+                handle.callback(*handle.args)
+                executed += 1
+        finally:
+            self._horizon = outer
         return self._now

@@ -9,8 +9,9 @@ pure speed must leave it byte-identical.  These tests pin, for seed 0 and
 - ``makespan_ns``,
 - the decoded frames digest,
 
-and bound the kernel event count from above, so that a saving in
-simulator events cannot silently come back.  The ``repro demo-*``
+and bound the kernel event count from above, for the decode alone and
+with the ``collect()`` query on top, so that a saving in simulator
+events cannot silently come back.  The ``repro demo-*``
 outputs (Table-2 rows, execution times, makespan) are pinned verbatim
 in ``tests/golden/``.
 
@@ -43,7 +44,8 @@ PLATFORMS = {
         "Reorder",
         "b85e1eee7a3a0717a561eb778cc5086ddf9dd281ed73f833f8d4e83a003cd290",
         71_536_721,
-        1_192,
+        450,
+        512,
     ),
     "sti7200": (
         build_sti7200_assembly,
@@ -51,7 +53,8 @@ PLATFORMS = {
         "Fetch-Reorder",
         "237775534e312e24598dc266be114bad82440b44325a2c9056b407945b149892",
         15_792_532_910,
-        2_102,
+        450,
+        441,
     ),
 }
 
@@ -83,16 +86,19 @@ def observe(platform):
     app = build(stream, use_stored_coefficients=True, keep_frames=True)
     rt = runtime()
     rt.run(app)
-    return rt, _dump_sha(rt.collect()), frames_digest(app.components[sink].frames)
+    run_events = rt.kernel.events_executed
+    reports_sha = _dump_sha(rt.collect())
+    return rt, run_events, reports_sha, frames_digest(app.components[sink].frames)
 
 
 @pytest.mark.parametrize("platform", sorted(PLATFORMS))
 def test_observation_is_pinned(platform):
-    rt, reports_sha, frames_sha = observe(platform)
-    _, _, _, expected_sha, makespan_ns, max_events = PLATFORMS[platform]
+    rt, run_events, reports_sha, frames_sha = observe(platform)
+    _, _, _, expected_sha, makespan_ns, max_run_events, max_events = PLATFORMS[platform]
     assert rt.makespan_ns == makespan_ns
     assert frames_sha == FRAMES_SHA256
     assert reports_sha == expected_sha
+    assert run_events <= max_run_events
     assert rt.kernel.events_executed <= max_events
 
 
@@ -121,4 +127,13 @@ def test_telemetry_observation_is_pinned(run):
 def test_demo_output_matches_golden(command, capsys):
     assert main([command]) == 0
     expected = (GOLDEN / f"{command.replace('-', '_')}.txt").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", ["demo-smp", "demo-sti7200"])
+def test_long_demo_output_matches_golden(command, capsys):
+    """192 images: long chains of slices on every core, where the
+    executor's clock jumps on one core overlap work queued by others."""
+    assert main([command, "192"]) == 0
+    expected = (GOLDEN / f"{command.replace('-', '_')}_192.txt").read_text()
     assert capsys.readouterr().out == expected

@@ -454,6 +454,33 @@ def scenario_shutdown_after_idle():
     return out
 
 
+def scenario_wakes_at_one_instant():
+    """One trigger wakes two waiters on an idle two-core machine: the
+    first wake hops, since the second is due at the same instant, and the
+    second finds a core whose dispatch is already queued.  A sleeper
+    wakes at t=15, the instant a slice ends, and another alone at t=40."""
+    r = Recorder(n_cores=2, policy=RoundRobinPolicy(quantum_ns=50))
+    ev = Event(r.k)
+
+    def waiter(tag):
+        value = yield WaitEvent(ev)
+        r.note(f"{tag}-woke-{value}")
+        yield from r.compute(tag, 10)
+
+    def sleeper(tag, ns):
+        yield Timeout(ns)
+        r.note(f"{tag}-up")
+        yield from r.compute(tag, 10)
+
+    r.eng.spawn(waiter("a"), name="a")
+    r.eng.spawn(waiter("b"), name="b")
+    r.eng.spawn(sleeper("s", 15), name="s")
+    r.eng.spawn(sleeper("t", 40), name="t")
+    r.k.schedule(5, ev.trigger, "x")
+    r.eng.shutdown()
+    return r.result()
+
+
 PINNED_SCHEDULES = {
     "same_instant_hop": {
         "threads": [
@@ -630,6 +657,43 @@ PINNED_SCHEDULES = {
         "now": 500,
         "errors": [(5, "x", "ValueError")],
         "pending": 0,
+    },
+    "wakes_at_one_instant": {
+        "threads": [
+            ("a", 0, 15, 10, 2),
+            ("b", 0, 25, 10, 2),
+            ("s", 0, 25, 10, 2),
+            ("t", 0, 50, 10, 2),
+        ],
+        "switches": [
+            (0, 0, None, "a"),
+            (0, 0, "a", None),
+            (0, 0, None, "b"),
+            (0, 0, "b", None),
+            (0, 0, None, "s"),
+            (0, 0, "s", None),
+            (0, 0, None, "t"),
+            (0, 0, "t", None),
+            (5, 0, None, "a"),
+            (15, 1, None, "b"),
+            (15, 0, "a", None),
+            (15, 0, None, "s"),
+            (25, 1, "b", None),
+            (25, 0, "s", None),
+            (40, 0, None, "t"),
+            (50, 0, "t", None),
+        ],
+        "log": [
+            (5, "a-woke-x"),
+            (15, "b-woke-x"),
+            (15, "a0"),
+            (15, "s-up"),
+            (25, "b0"),
+            (25, "s0"),
+            (40, "t-up"),
+            (50, "t0"),
+        ],
+        "now": 50,
     },
 }
 

@@ -160,3 +160,74 @@ def test_nothing_due_now_sees_both_queues():
         ("later-entry-only", 40, True),
     ]
     assert k.nothing_due_now()
+
+
+def test_advance_to_jumps_only_when_its_entry_would_run_next():
+    k = Kernel()
+    seen = []
+
+    def probe(tag, target):
+        seen.append((tag, k.now, k.advance_to(target), k.now))
+
+    def queue_soon_then_probe():
+        k.call_soon(lambda: None)
+        probe("soon-queued", 35)
+
+    k.schedule(10, probe, "clear-heap-head", 15)  # head at 20: jumps
+    k.schedule(20, probe, "ties-heap-head", 30)  # head at 30: refuses
+    k.schedule(30, queue_soon_then_probe)
+    k.schedule(40, probe, "up-to-the-head", 49)
+    k.schedule(50, lambda: None)
+    k.run()
+    assert seen == [
+        ("clear-heap-head", 10, True, 15),
+        ("ties-heap-head", 20, False, 20),
+        ("soon-queued", 30, False, 30),
+        ("up-to-the-head", 40, True, 49),
+    ]
+    assert k.events_executed == 6  # five timers and one call_soon: a jump is no event
+
+
+def test_advance_to_skips_cancelled_heap_heads():
+    k = Kernel()
+    seen = []
+    k.schedule(10, lambda: seen.append(k.advance_to(25)))
+    k.schedule(20, lambda: None).cancel()
+    k.run()
+    assert seen == [True]
+    assert k.now == 25
+
+
+def test_advance_to_stays_within_until():
+    k = Kernel()
+    seen = []
+    k.schedule(10, lambda: seen.append((k.advance_to(101), k.advance_to(100), k.now)))
+    assert k.run(until=100) == 100
+    assert seen == [(False, True, 100)]
+
+
+def test_advance_to_refuses_outside_run_and_under_max_events():
+    k = Kernel()
+    seen = []
+    assert not k.advance_to(5)
+    for t in (10, 20, 30):
+        k.schedule(t, lambda: seen.append(k.advance_to(k.now + 1)))
+    assert k.step()
+    k.run(max_events=1)
+    assert not k.advance_to(25)
+    k.run()
+    assert seen == [False, False, True]
+    assert not k.advance_to(k.now + 1)
+
+
+def test_advance_to_refuses_after_run_raised():
+    k = Kernel()
+
+    def boom():
+        raise RuntimeError("boom")
+
+    k.schedule(10, boom)
+    with pytest.raises(RuntimeError):
+        k.run()
+    assert not k.advance_to(20)
+    assert k.now == 10
