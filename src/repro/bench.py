@@ -279,11 +279,8 @@ def bench_sim_shards(quick: bool = False) -> Dict:
         }
         for c in range(n_chains):
             for s in range(n_stages - 1):
-                sim.add_link(shard_of[(c, s)], shard_of[(c, s + 1)], link_ns)
-        for k in range(n_shards):
-            # Self-lookahead: a same-shard hop never lands earlier than
-            # compute + link after its send.
-            sim.add_link(k, k, compute_ns + link_ns)
+                if shard_of[(c, s)] != shard_of[(c, s + 1)]:
+                    sim.add_link(shard_of[(c, s)], shard_of[(c, s + 1)], link_ns)
         events = [0] * n_shards
 
         def handler(c: int, s: int, seq: int, t: int) -> None:

@@ -315,9 +315,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    # The profile plane lives on the sharded runtime's staged transport;
-    # a 1-shard sharded run is output-identical to the plain runtime, so
-    # profile I/O at --shards 1 just switches runtimes.
+    # The profile plane lives on the sharded runtime's staged transport,
+    # so profile I/O at --shards 1 switches runtimes.  The frames stay
+    # the same but the observation does not: every staged delivery pays
+    # the link latency (at 48 images the makespan is 359 418 841 ns
+    # plain vs 359 419 207 ns on one shard).
     needs_sharded_rt = profile is not None or args.record_profile is not None
     stream = generate_stream(args.images, 96, 96, quality=75, seed=0)
     app = build_smp_assembly(stream, use_stored_coefficients=True, keep_frames=True)

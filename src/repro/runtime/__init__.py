@@ -24,7 +24,6 @@ platform-specifically, as in the paper).
 from repro.runtime.base import Runtime, RuntimeError_
 from repro.runtime.native import NativeRuntime
 from repro.runtime.simulated import (
-    ShardSimContext,
     ShardedSmpSimRuntime,
     SimRuntime,
     SmpSimRuntime,
@@ -35,7 +34,6 @@ __all__ = [
     "NativeRuntime",
     "Runtime",
     "RuntimeError_",
-    "ShardSimContext",
     "ShardedSmpSimRuntime",
     "SimRuntime",
     "SmpSimRuntime",

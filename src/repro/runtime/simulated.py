@@ -74,23 +74,33 @@ class SimMailbox:
 
 
 class SimContext(ComponentContext):
-    """Component context over a simulated platform."""
+    """Component context over a simulated platform.
+
+    ``kernel`` is the clock the component runs on and ``span_source``
+    its span-id allocator.  On the sharded runtime both belong to the
+    component's shard (shards tick independently between
+    synchronization points, and each draws span ids from its own range;
+    see :func:`repro.sim.shard.shard_span_source`), so merged traces
+    never collide."""
 
     def __init__(
         self,
         component: Component,
         probe: Optional[ObservationProbe],
         runtime: "SimRuntime",
+        kernel: Kernel,
+        span_source,
         clock_offset_ns: int = 0,
     ) -> None:
         super().__init__(component, probe)
         self.runtime = runtime
         self.clock_offset_ns = clock_offset_ns
-        self._span_source = runtime.span_source
+        self._kernel = kernel
+        self._span_source = span_source
 
     def now_ns(self) -> int:
         """Current platform time in nanoseconds."""
-        return self.runtime.kernel.now + self.clock_offset_ns
+        return self._kernel.now + self.clock_offset_ns
 
     def compute(self, opclass: str, units: float) -> Generator:
         """Declare computational work (see ComponentContext.compute)."""
@@ -126,38 +136,7 @@ class SimContext(ComponentContext):
 
     def log(self, text: str) -> None:
         """Record a debug line in the runtime's log buffer."""
-        self.runtime.logs.append((self.runtime.kernel.now, self.component.name, text))
-
-
-class ShardSimContext(SimContext):
-    """A component context bound to one shard's clock and span range.
-
-    ``now_ns`` reads the *shard's* kernel (shards tick independently
-    between synchronization points) and span/cause ids come from the
-    shard's private range (shard index in the high bits; see
-    :func:`repro.sim.shard.shard_span_source`), so merged traces never
-    collide."""
-
-    def __init__(
-        self,
-        component: Component,
-        probe: Optional[ObservationProbe],
-        runtime: "SimRuntime",
-        shard_kernel: Kernel,
-        span_source,
-        clock_offset_ns: int = 0,
-    ) -> None:
-        super().__init__(component, probe, runtime, clock_offset_ns)
-        self._shard_kernel = shard_kernel
-        self._span_source = span_source
-
-    def now_ns(self) -> int:
-        """Current time of the owning shard in nanoseconds."""
-        return self._shard_kernel.now + self.clock_offset_ns
-
-    def log(self, text: str) -> None:
-        """Record a debug line stamped with the shard's clock."""
-        self.runtime.logs.append((self._shard_kernel.now, self.component.name, text))
+        self.runtime.logs.append((self._kernel.now, self.component.name, text))
 
 
 class SimRuntime(Runtime):
@@ -259,9 +238,18 @@ class SimRuntime(Runtime):
     def _make_context(
         self, cont: ComponentContainer, probe: Optional[ObservationProbe], offset: int
     ) -> SimContext:
-        """Build one component/service context (sharded runtimes swap in
-        per-shard clocks and span-id ranges)."""
-        return SimContext(cont.component, probe, self, offset)
+        """Build one component/service context on the container's clock
+        and span range (the sharded runtime records its shard's in
+        ``cont.extra``)."""
+        extra = cont.extra
+        return SimContext(
+            cont.component,
+            probe,
+            self,
+            extra.get("kernel", self.kernel),
+            extra.get("span_source", self.span_source),
+            offset,
+        )
 
     def start(self) -> None:
         """Launch every component's behaviour and observation service."""
@@ -717,26 +705,25 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
             cont.extra["shard"] = shard
             cont.extra["core"] = core
             cont.extra["node"] = self.platform.node_of_core(core)
+            cont.extra["kernel"] = self.shards[shard].kernel
+            cont.extra["span_source"] = self._span_sources[shard]
 
     def _finish_deploy(self) -> None:
-        """Derive routes and per-link lookaheads from the bound graph."""
+        """Derive routes and cross-shard lookaheads from the bound graph."""
         for cont in self.containers.values():
             dst_shard = cont.extra["shard"]
             dst_core = cont.extra["core"]
-            # Deposits re-enter a component's own mailbox through the
-            # same staged path, so every shard always has a self-link.
-            self.sim.add_link(
-                dst_shard, dst_shard, self.platform.link_latency_ns(dst_core, dst_core)
-            )
             for prov in cont.component.provided.values():
                 self._routes[prov] = (dst_shard, dst_core)
                 for req in prov.connected_from:
                     src_cont = self.containers[req.component.name]
-                    self.sim.add_link(
-                        src_cont.extra["shard"],
-                        dst_shard,
-                        self.platform.link_latency_ns(src_cont.extra["core"], dst_core),
-                    )
+                    src_shard = src_cont.extra["shard"]
+                    if src_shard != dst_shard:
+                        self.sim.add_link(
+                            src_shard,
+                            dst_shard,
+                            self.platform.link_latency_ns(src_cont.extra["core"], dst_core),
+                        )
 
     # -- per-shard deployment --------------------------------------------------
 
@@ -766,19 +753,6 @@ class ShardedSmpSimRuntime(SmpSimRuntime):
                 capacity_bytes=prov.mailbox_bytes,
                 base_addr=self._next_fake_addr(prov.mailbox_bytes),
             )
-
-    def _make_context(
-        self, cont: ComponentContainer, probe: Optional[ObservationProbe], offset: int
-    ) -> SimContext:
-        shard_idx = cont.extra["shard"]
-        return ShardSimContext(
-            cont.component,
-            probe,
-            self,
-            self.shards[shard_idx].kernel,
-            self._span_sources[shard_idx],
-            offset,
-        )
 
     def _spawn_behavior(self, cont: ComponentContainer) -> None:
         shard_idx = cont.extra["shard"]

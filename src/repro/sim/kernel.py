@@ -225,11 +225,10 @@ class Kernel:
     def idle_advance(self, time_ns: int) -> None:
         """Move the idle clock forward to ``time_ns`` without dispatching.
 
-        The sharded coordinator's gap hop: a shard whose next activity is
-        a staged envelope at ``time_ns`` has nothing to execute in
-        ``(now, time_ns)``, so the clock jumps there directly.  Refuses
-        to travel backwards -- that would re-open a past the shard
-        already published lookahead promises about."""
+        The sharded coordinator aligns quiescent shard clocks with it, so
+        work injected between runs can never reach a shard in its past.
+        Refuses to travel backwards -- that would re-open a past the
+        shard already published lookahead promises about."""
         time_ns = int(time_ns)
         if time_ns < self._now:
             raise SchedulingError(f"cannot idle-advance backwards: {time_ns} < {self._now}")

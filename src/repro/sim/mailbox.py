@@ -22,10 +22,11 @@ Two containers move envelopes:
   shard posts into and the *receiving* shard drains at synchronization
   points.  This is the only structure touched by two shards.
 - :class:`Staging` -- the receiving shard's private priority queue of
-  undelivered envelopes, ordered by key.  Envelopes are released into
-  the shard kernel in key order, batch-wise below a conservative time
-  horizon (see ``Shard.run_until``), which pins equal-``recv_time``
-  deliveries to key order no matter when they arrived.
+  undelivered envelopes, ordered by key.  The shard flushes each
+  receive instant once, when its kernel reaches it, delivering every
+  envelope staged for that instant in key order (see ``Shard.stage``),
+  which pins equal-``recv_time`` deliveries to key order no matter when
+  or from which shard they arrived.
 """
 
 from __future__ import annotations
@@ -142,9 +143,10 @@ class Staging:
     def __init__(self) -> None:
         self._heap: List[tuple] = []
         self.released = 0
-        #: Kernel callbacks actually scheduled by :meth:`release_batched`
-        #: -- ``released / batches`` is the cross-shard batch factor the
-        #: scaling bench reports.
+        #: Delivery callbacks handed out (one per distinct ``recv_time``
+        #: by :meth:`release_batched`, the path a shard's flush takes)
+        #: -- ``released / batches`` is the batch factor the scaling
+        #: bench reports.
         self.batches = 0
 
     def push(self, envelope: Envelope) -> None:
@@ -159,7 +161,7 @@ class Staging:
     def push_many(self, envelopes: Iterable[Envelope]) -> int:
         """Stage a chunk of envelopes in one O(n) heapify instead of n
         O(log n) sifts -- the mailbox drain path hands over a whole
-        window's worth of cross-shard arrivals at once."""
+        sweep's worth of cross-shard arrivals at once."""
         items = [
             (env.recv_time, env.send_time, env.src, env.src_interface, env.seq, env)
             for env in envelopes
@@ -186,9 +188,9 @@ class Staging:
         Key-order release below a *conservative* horizon (no
         later-staged envelope can undercut it) is what makes equal-time
         deliveries land in the same canonical order for every shard
-        count.  This is the per-envelope reference path; the hot path is
-        :meth:`release_batched`, which the equivalence tests hold to
-        identical dispatch traces."""
+        count.  This is the per-envelope reference path; shards deliver
+        through :meth:`release_batched`, which the staging tests hold to
+        the same key order."""
         heap = self._heap
         n = 0
         while heap and heap[0][0] < horizon:
@@ -204,14 +206,12 @@ class Staging:
         ``recv_time`` below the horizon, delivering that time's whole
         key-ordered group inline.
 
-        Equivalent to :meth:`release_below` by construction: every
-        callback is scheduled *now* (so its kernel sequence number
-        precedes anything the executing window schedules later, exactly
-        like the per-envelope path), and within one timestamp the group
-        delivers in key order.  A fan-in workload whose messages share
-        timestamps pays one kernel event per timestamp instead of one
-        per envelope -- the cross-shard event count drops by the batch
-        factor."""
+        Equivalent to :meth:`release_below` by construction: the
+        callbacks are handed out in key order, and within one timestamp
+        the group delivers in key order.  A fan-in workload whose
+        messages share timestamps pays one callback per timestamp
+        instead of one per envelope -- the event count drops by the
+        batch factor."""
         heap = self._heap
         if not heap or heap[0][0] >= horizon:
             return 0

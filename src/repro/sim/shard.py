@@ -22,12 +22,17 @@ The simulation produces the *same per-channel delivery order for every
 shard count*.  Two mechanisms enforce this:
 
 - every delivery is staged as an :class:`~repro.sim.mailbox.Envelope`
-  and released in key order ``(recv_time, send_time, src, iface, seq)``
+  and delivered in key order ``(recv_time, send_time, src, iface, seq)``
   -- all fields properties of the logical send, none of the layout;
-- release happens batch-wise below a horizon no later-staged envelope
-  can undercut (``min(bound, now + self_lookahead)``), so two
-  equal-``recv_time`` envelopes always sit in the same batch and sort
-  canonically, never in shard-arrival order.
+- each shard delivers everything staged for one receive instant ``T``
+  in a single kernel callback at ``T`` (the *flush*, queued when the
+  first envelope for ``T`` is staged), so two equal-``recv_time``
+  envelopes always sit in the same flush and sort canonically, never in
+  shard-arrival order.  A cross-shard envelope for ``T`` is drained
+  before its shard runs up to ``T`` (``T`` is at least the shard's
+  bound), so it joins the same flush as the same-shard ones.  An
+  envelope staged at or behind its shard's clock breaks this and raises
+  :class:`~repro.sim.errors.SimulationError`.
 
 Span-id ranges
 --------------
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 from itertools import count
 from time import perf_counter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.errors import DeadlockError, SimulationError
 from repro.sim.kernel import Kernel
@@ -116,8 +121,7 @@ def shard_core_blocks(n_cores: int, n_shards: int) -> List[List[int]]:
     """Split core indices into ``n_shards`` contiguous blocks.
 
     Contiguous blocks keep each shard's cores on as few NUMA nodes as
-    possible, so intra-shard link latencies (and thus self-lookahead)
-    stay small."""
+    possible, so most cross-node traffic stays inside one shard."""
     if n_shards < 1:
         raise ValueError(f"need at least one shard, got {n_shards}")
     if n_shards > n_cores:
@@ -313,6 +317,12 @@ def repartition_from_profile(
 # -- the shard -----------------------------------------------------------------
 
 
+def _run_inline(_t: int, deliver: Callable[[], None]) -> None:
+    """The ``schedule`` a flush hands :meth:`Staging.release_batched`:
+    the flush already runs at the receive instant, so deliver at once."""
+    deliver()
+
+
 class Shard:
     """One partition: a private kernel plus its staged-delivery state.
 
@@ -330,17 +340,8 @@ class Shard:
         self.kernel.deadlock_check = False
         self.inbox = Mailbox()
         self.staging = Staging()
-        #: Smallest link latency of any channel whose *sender and
-        #: receiver both live on this shard* (inf when none): while the
-        #: shard executes, no new envelope can appear with a receive
-        #: time below ``now + self_lookahead``, which is what makes the
-        #: batch release horizon safe.
-        self.self_lookahead: float = _INF
-        #: Release staged envelopes as one kernel callback per distinct
-        #: ``recv_time`` (:meth:`Staging.release_batched`) instead of one
-        #: per envelope.  On by default; the per-envelope path is kept
-        #: for the batch-equivalence tests and as a bisection tool.
-        self.batch_release = True
+        #: Receive instants whose flush is queued on the kernel.
+        self._flush_at: Set[int] = set()
         #: Wall-clock seconds spent inside :meth:`run_until` -- the
         #: per-shard busy time the critical-path speedup metric uses.
         self.busy_s = 0.0
@@ -355,6 +356,9 @@ class Shard:
         """Stage a *same-shard* delivery (called by this shard only)."""
         if self.on_envelope is not None:
             self.on_envelope(envelope, False)
+        t = envelope.recv_time
+        if t <= self.kernel.now or t not in self._flush_at:
+            self._arm(t)
         self.staging.push(envelope)
 
     def post(self, envelope: Envelope) -> None:
@@ -366,67 +370,56 @@ class Shard:
     def drain_inbox(self) -> int:
         """Move posted envelopes into the staging heap (owner only).
 
-        The whole window's worth of cross-shard arrivals lands as one
+        The whole sweep's worth of cross-shard arrivals lands as one
         chunk: a single O(n) heap merge instead of n sifts."""
-        return self.staging.push_many(self.inbox.drain())
+        envelopes = self.inbox.drain()
+        now, flush_at = self.kernel.now, self._flush_at
+        for env in envelopes:
+            t = env.recv_time
+            if t <= now or t not in flush_at:
+                self._arm(t)
+        return self.staging.push_many(envelopes)
+
+    def _arm(self, t: int) -> None:
+        """Queue the flush of instant ``t``, which has none queued yet
+        (the callers test that inline), or raise if ``t`` is not ahead of
+        the clock."""
+        kernel = self.kernel
+        if t <= kernel.now:
+            raise SimulationError(
+                f"{self.name}: staged delivery at {t} not ahead of "
+                f"clock {kernel.now} -- lookahead violated"
+            )
+        self._flush_at.add(t)
+        kernel.schedule_at(t, self._flush, t)
+
+    def _flush(self, t: int) -> None:
+        """Deliver every envelope staged for instant ``t``, in key order."""
+        self._flush_at.discard(t)
+        self.staging.release_batched(t + 1, _run_inline)
 
     # -- conservative execution ----------------------------------------------
 
     def eot(self) -> float:
-        """Earliest possible next activity: the first pending kernel
-        event or staged delivery, ``inf`` when fully idle.  Nothing this
-        shard ever sends can reach a neighbor before ``eot() +
-        lookahead``, which is what the coordinator's bounds build on."""
+        """Earliest possible next activity, ``inf`` when fully idle.
+
+        Every staged envelope has its flush queued, so this is the
+        kernel's next event.  Nothing this shard ever sends can reach a
+        neighbor before ``eot() + lookahead``, which is what the
+        coordinator's bounds build on."""
         t = self.kernel.peek()
-        s = self.staging.min_recv_time()
-        if t is None:
-            return _INF if s is None else s
-        return t if s is None else min(t, s)
+        return _INF if t is None else t
 
     def run_until(self, bound: float) -> None:
         """Execute all shard-local work strictly below ``bound``.
 
-        Alternates batch release of staged envelopes (in key order,
-        below ``min(bound, now + self_lookahead)`` -- see the module
-        docstring for why that horizon pins the canonical order) with
-        kernel execution up to the earliest un-released envelope, and
-        idle-advances the clock over gaps so later batches unlock.
-        """
-        kernel = self.kernel
-        la = self.self_lookahead
-        release = (
-            self.staging.release_batched
-            if self.batch_release
-            else self.staging.release_below
-        )
+        Staged envelopes are ordinary kernel events (their flushes), so
+        this is one kernel run: an envelope staged while it runs lands
+        at least one link latency ahead, and its flush joins the queue
+        like any other event."""
         t0 = perf_counter()
         try:
-            while True:
-                horizon = min(bound, kernel.now + la)
-                release(horizon, kernel.schedule_at)
-                nxt = self.staging.min_recv_time()
-                stop = horizon if nxt is None else min(horizon, nxt)
-                t = kernel.peek()
-                if t is not None and t < stop:
-                    # Events strictly below ``stop``; new same-shard
-                    # envelopes land at >= now + self_lookahead >= stop,
-                    # so none can undercut this execution window.
-                    kernel.run(until=None if stop == _INF else int(stop) - 1)
-                    continue
-                nt = min(
-                    nxt if nxt is not None else _INF,
-                    t if t is not None else _INF,
-                )
-                if nt >= bound:
-                    return
-                if kernel.now >= nt:
-                    raise SimulationError(
-                        f"{self.name}: staged delivery at {nt} not ahead of "
-                        f"clock {kernel.now} -- lookahead violated"
-                    )
-                # Nothing can happen in (now, nt): idle-advance so the
-                # release horizon reaches the next staged envelope.
-                kernel.idle_advance(nt)
+            self.kernel.run(until=None if bound == _INF else int(bound) - 1)
         finally:
             self.busy_s += perf_counter() - t0
 
@@ -440,16 +433,15 @@ class Shard:
 class ShardedSimulation:
     """Coordinates N shards under conservative lookahead bounds.
 
-    ``add_link(src, dst, latency_ns)`` declares a channel between shards
-    (including ``src == dst`` for intra-shard channels, which feed the
-    shards' self-lookahead); the *minimum* latency per directed shard
-    pair becomes that pair's lookahead.  :meth:`run` then sweeps:
+    ``add_link(src, dst, latency_ns)`` declares a channel between two
+    distinct shards; the *minimum* latency per directed shard pair
+    becomes that pair's lookahead.  :meth:`run` then sweeps:
 
     1. drain every shard's mailbox into its staging heap,
     2. snapshot ``eot_i`` for every shard; if all are ``inf`` the
        simulation is over (or deadlocked, if processes are still alive),
     3. compute ``bound_i = min_j (eot_j + lookahead(j, i))`` over
-       in-neighbors ``j != i``,
+       in-neighbors ``j``,
     4. run every shard with ``eot_i < bound_i`` up to its bound.
 
     The globally earliest shard always satisfies ``eot_i < bound_i``
@@ -473,19 +465,22 @@ class ShardedSimulation:
         self.sweeps = 0
 
     def add_link(self, src_shard: int, dst_shard: int, latency_ns: int) -> None:
-        """Declare a channel from ``src_shard`` to ``dst_shard`` with a
-        guaranteed minimum delivery latency (clamped to >= 1 ns)."""
+        """Declare a channel from ``src_shard`` to a different
+        ``dst_shard`` with a guaranteed minimum delivery latency (clamped
+        to >= 1 ns).  Same-shard channels need no declaration."""
         n = len(self.shards)
         if not (0 <= src_shard < n and 0 <= dst_shard < n):
             raise ValueError(f"link ({src_shard}, {dst_shard}) out of range for {n} shards")
+        if src_shard == dst_shard:
+            raise ValueError(
+                f"link ({src_shard}, {dst_shard}) is a self-link; same-shard "
+                f"deliveries need no lookahead"
+            )
         latency = max(1, int(latency_ns))
         key = (src_shard, dst_shard)
         current = self._lookahead.get(key)
         if current is None or latency < current:
             self._lookahead[key] = latency
-        if src_shard == dst_shard:
-            shard = self.shards[src_shard]
-            shard.self_lookahead = min(shard.self_lookahead, latency)
 
     def lookahead(self, src_shard: int, dst_shard: int) -> Optional[int]:
         """The conservative bound contribution of a shard pair, if any."""
@@ -506,16 +501,16 @@ class ShardedSimulation:
         never outrun a message routed to it through any chain of
         currently idle shards."""
         eots = list(eots)
-        cross = [(s, d, la) for (s, d), la in self._lookahead.items() if s != d]
+        links = [(s, d, la) for (s, d), la in self._lookahead.items()]
         changed = True
         while changed:
             changed = False
-            for src, dst, la in cross:
+            for src, dst, la in links:
                 if eots[src] + la < eots[dst]:
                     eots[dst] = eots[src] + la
                     changed = True
         bounds = [_INF] * len(self.shards)
-        for src, dst, la in cross:
+        for src, dst, la in links:
             if eots[src] + la < bounds[dst]:
                 bounds[dst] = eots[src] + la
         return bounds

@@ -158,7 +158,6 @@ def run_traffic(
     config: TrafficConfig,
     n_shards: int,
     partition: Optional[Dict[str, int]] = None,
-    batch_release: bool = True,
     graph: Optional[Dict] = None,
 ) -> Dict:
     """Run the traffic model on ``n_shards`` conservative shards.
@@ -181,20 +180,16 @@ def run_traffic(
     shard_of = [assignment[name] for name in names]
 
     shards = [Shard(i) for i in range(n_shards)]
-    for shard in shards:
-        shard.batch_release = batch_release
     sim = ShardedSimulation(shards)
     hop_ns = config.compute_ns + config.link_ns
     # Every hop takes at least compute + link after its trigger, so the
-    # pairwise lookahead is hop_ns for linked shards and for each
-    # shard's self-link.
+    # pairwise lookahead is hop_ns for every pair of linked shards.
     linked = set()
     for a, b in graph["edges"]:
         linked.add((shard_of[index_of[a]], shard_of[index_of[b]]))
-    for k in range(n_shards):
-        linked.add((k, k))
     for src, dst in sorted(linked):
-        sim.add_link(src, dst, hop_ns)
+        if src != dst:
+            sim.add_link(src, dst, hop_ns)
 
     n = len(names)
     folds = [0] * n  # per-component delivery-sequence hash (layout-invariant)

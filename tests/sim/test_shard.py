@@ -7,10 +7,12 @@ itself (delivery-order invariance across shard counts, deadlock
 semantics).
 """
 
+import hashlib
+
 import pytest
 
 from repro.sim import Kernel
-from repro.sim.errors import DeadlockError
+from repro.sim.errors import DeadlockError, SimulationError
 from repro.sim.mailbox import Envelope, Mailbox, Staging
 from repro.sim.process import Process
 from repro.sim.resources import Channel
@@ -354,23 +356,25 @@ def test_release_batched_groups_by_recv_time_in_key_order():
 # -- coordinator ---------------------------------------------------------------
 
 
-def _pipeline_run(n_shards: int, batch: bool = True):
+def _log_digest(log) -> str:
+    """sha256 of a per-component delivery log, in component order."""
+    return hashlib.sha256(repr(sorted(log.items())).encode()).hexdigest()
+
+
+def _pipeline_run(n_shards: int):
     """A 4-chain x 3-stage pipeline on the raw shard layer; returns the
     per-stage-component delivery log."""
     n_chains, n_stages = 4, 3
     link_ns, compute_ns = 100, 700
     shards = [Shard(i) for i in range(n_shards)]
-    for shard in shards:
-        shard.batch_release = batch
     sim = ShardedSimulation(shards)
     shard_of = {
         (c, s): (c + s) % n_shards for c in range(n_chains) for s in range(n_stages)
     }
     for c in range(n_chains):
         for s in range(n_stages - 1):
-            sim.add_link(shard_of[(c, s)], shard_of[(c, s + 1)], link_ns)
-    for k in range(n_shards):
-        sim.add_link(k, k, compute_ns + link_ns)
+            if shard_of[(c, s)] != shard_of[(c, s + 1)]:
+                sim.add_link(shard_of[(c, s)], shard_of[(c, s + 1)], link_ns)
 
     log = {(c, s): [] for c in range(n_chains) for s in range(n_stages)}
 
@@ -405,27 +409,31 @@ def test_delivery_log_invariant_across_shard_counts():
         assert _pipeline_run(n_shards) == reference
 
 
+#: sha256 of the pipeline harness's delivery log under the per-envelope
+#: reference release (``Staging.release_below``, one kernel event per
+#: envelope below a release horizon), identical at 1 and 3 shards.
+PIPELINE_LOG_SHA256 = "e6ba574bce47937ae1625c4853ce93508d02547f8b5153b3a977c7a4a629b707"
+
+
 def test_pipeline_batched_release_matches_per_envelope():
-    """The batching tentpole's oracle on the pipeline harness:
-    Shard.batch_release toggles between release_batched and the
-    reference release_below; the delivery logs must be identical."""
+    """Delivering each instant's envelopes in one flush reproduces the
+    delivery log the per-envelope reference release produced."""
     for n_shards in (1, 3):
-        assert _pipeline_run(n_shards, batch=True) == _pipeline_run(n_shards, batch=False)
+        assert _log_digest(_pipeline_run(n_shards)) == PIPELINE_LOG_SHA256
 
 
-def _chaotic_run(n_shards: int, seed: int, batch: bool):
+def _chaotic_run(n_shards: int, seed: int):
     """A message-storm workload with hash-derived (layout-invariant)
-    routing and clustered timestamps, so batched release really forms
+    routing and clustered timestamps, so one flush really delivers
     multi-envelope groups.  Returns the per-component delivery log."""
     n_comp, n_msgs, hops = 10, 30, 3
     compute_ns, link_ns = 500, 100
     shards = [Shard(i) for i in range(n_shards)]
-    for shard in shards:
-        shard.batch_release = batch
     sim = ShardedSimulation(shards)
     for a in range(n_shards):
         for b in range(n_shards):
-            sim.add_link(a, b, compute_ns + link_ns)
+            if a != b:
+                sim.add_link(a, b, compute_ns + link_ns)
     shard_of = [i % n_shards for i in range(n_comp)]
     log = {i: [] for i in range(n_comp)}
     seqs = [0] * n_comp
@@ -458,15 +466,61 @@ def _chaotic_run(n_shards: int, seed: int, batch: bool):
     return log
 
 
+#: sha256 of the chaotic harness's delivery log per seed under the
+#: per-envelope reference release, identical at 1, 2 and 4 shards.
+CHAOTIC_LOG_SHA256 = {
+    1: "57928323704a6be9ece876a3d7bcd86eef811a1431b5e738e47e9e5192e7d647",
+    7: "7e5ab947f116f411214f7a4a2001950bd20b0e8e0087a374d19d9c606651bf65",
+    42: "c4bfafee63dfe5f3850073161a3432c947717160df0345f24bdc3ca8852295a5",
+}
+
+
 @pytest.mark.parametrize("seed", (1, 7, 42))
 def test_batched_release_equivalent_to_per_envelope(seed):
-    """Seeds 1/7/42 (the chaos-campaign set): batched and per-envelope
-    release produce identical per-component delivery sequences, at every
-    shard count, and both match across shard counts."""
-    reference = _chaotic_run(1, seed, batch=True)
+    """Seeds 1/7/42 (the chaos-campaign set): at every shard count the
+    per-component delivery sequences equal those of the per-envelope
+    reference release."""
     for n_shards in (1, 2, 4):
-        assert _chaotic_run(n_shards, seed, batch=True) == reference
-        assert _chaotic_run(n_shards, seed, batch=False) == reference
+        assert _log_digest(_chaotic_run(n_shards, seed)) == CHAOTIC_LOG_SHA256[seed]
+
+
+def test_one_flush_delivers_an_instant_in_key_order():
+    """Envelopes for one instant, staged in reverse key order and one of
+    them posted from another shard, arrive in key order from a single
+    kernel event."""
+    shards = [Shard(0), Shard(1)]
+    sim = ShardedSimulation(shards)
+    sim.add_link(1, 0, 50)
+    order = []
+    for seq in (3, 2, 1):
+        shards[0].stage(Envelope(100, 10, "a", "out", seq, lambda q=seq: order.append(q)))
+    shards[0].post(Envelope(100, 10, "a", "out", 0, lambda: order.append(0)))
+    sim.run()
+    assert order == [0, 1, 2, 3]
+    assert shards[0].kernel.events_executed == 1
+    assert shards[0].staging.released == 4
+    assert shards[0].staging.batches == 1
+
+
+def test_staged_delivery_not_ahead_of_the_clock_is_rejected():
+    shard = Shard(0)
+    shard.kernel.schedule(100, lambda: None)
+    shard.run_until(1_000)
+    assert shard.kernel.now == 100
+    for recv in (100, 99):
+        with pytest.raises(SimulationError, match="not ahead of clock"):
+            shard.stage(Envelope(recv, 0, "a", "out", 0, lambda: None))
+        shard.post(Envelope(recv, 0, "a", "out", 1, lambda: None))
+        with pytest.raises(SimulationError, match="not ahead of clock"):
+            shard.drain_inbox()
+
+
+def test_add_link_rejects_self_links():
+    sim = ShardedSimulation([Shard(0), Shard(1)])
+    with pytest.raises(ValueError, match="self-link"):
+        sim.add_link(1, 1, 100)
+    with pytest.raises(ValueError, match="out of range"):
+        sim.add_link(0, 2, 100)
 
 
 def test_true_deadlock_is_reported_by_the_coordinator():
